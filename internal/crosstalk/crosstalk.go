@@ -65,14 +65,12 @@ type Model struct {
 	CVError float64 // cross-validated MSE at the selected weights
 	forest  *mlfit.Forest
 
-	// predCache memoizes forest.Predict per distinct equivalent
-	// distance. The feature space is one-dimensional and chips have few
-	// distinct (d_phy, d_top) combinations, so the forest walk — the
-	// dominant cost of Matrix/PredictedValues — runs once per distinct
-	// distance instead of once per pair. A sync.Map because predictions
-	// race in from parallel regions; the forest is pure, so concurrent
-	// fills for the same key store the same value.
-	predCache sync.Map // float64 d_equiv -> float64 prediction
+	// The forest compiled into a step function over d_equiv (see
+	// mlfit.Forest.Steps), built on first prediction: one binary search
+	// replaces a walk of every tree, and every value is a Predict result,
+	// so predictions are bit-identical to the forest's.
+	stepsOnce  sync.Once
+	cuts, vals []float64
 }
 
 // Fit trains the characterization model from calibration samples taken
@@ -232,32 +230,42 @@ func trimOutliers(samples []xmon.Sample, fraction float64) ([]xmon.Sample, error
 }
 
 // PredictDistance returns the model's crosstalk prediction at a raw
-// equivalent distance, memoized per distinct distance.
+// equivalent distance.
 func (m *Model) PredictDistance(dEquiv float64) float64 {
-	if v, ok := m.predCache.Load(dEquiv); ok {
-		return v.(float64)
-	}
-	p := m.forest.Predict([]float64{dEquiv})
-	m.predCache.Store(dEquiv, p)
-	if o := observer.Load(); o != nil {
-		o.forestWalks.Add(1)
-	}
-	return p
+	m.stepsOnce.Do(func() { m.cuts, m.vals = m.forest.Steps() })
+	return m.vals[sort.SearchFloat64s(m.cuts, dEquiv)]
 }
 
 // Predictor binds a model to a chip, caching the chip's distance
-// structure so pairwise predictions are cheap. Binding a model to a
+// structure and the model's prediction for every ordered qubit pair, so
+// pairwise predictions are table lookups. Binding a model to a
 // different chip than it was trained on is exactly the Figure 12
 // transfer experiment.
 type Predictor struct {
 	Model *Model
 	chip  *chip.Chip
 	top   [][]float64
+	pairs []float64 // pairs[i*n+j]: the prediction for qubits i != j
 }
 
-// On binds the model to a chip.
+// On binds the model to a chip. It predicts every ordered pair up front:
+// the FDM allocation and TDM grouping ask for the same pairs many times
+// over, on every redesign that reuses this predictor.
 func (m *Model) On(c *chip.Chip) *Predictor {
-	return &Predictor{Model: m, chip: c, top: c.Graph().AllMultiPathDistances()}
+	p := &Predictor{Model: m, chip: c, top: c.Graph().AllMultiPathDistances()}
+	if m.forest == nil {
+		return p // only a decoded model can lack a forest; it predicts nothing
+	}
+	n := c.NumQubits()
+	p.pairs = make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				p.pairs[i*n+j] = m.PredictDistance(p.EquivDistance(i, j))
+			}
+		}
+	}
+	return p
 }
 
 // EquivDistance returns d_equiv(i,j) under the model's fitted weights.
@@ -280,7 +288,7 @@ func (p *Predictor) Predict(i, j int) float64 {
 	if o := observer.Load(); o != nil {
 		o.predictions.Inc()
 	}
-	return p.Model.PredictDistance(p.EquivDistance(i, j))
+	return p.pairs[i*p.chip.NumQubits()+j]
 }
 
 // Matrix returns the full predicted pairwise crosstalk matrix. The

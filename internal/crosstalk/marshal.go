@@ -8,9 +8,9 @@ import (
 )
 
 // AppendBinary encodes a fitted model: kind, selected weights, CV
-// error and the trained forest. The prediction memo (predCache) is a
-// lazy pure-function cache and is deliberately not persisted — a
-// decoded model refills it on first use with identical values.
+// error and the trained forest. The step function compiled from the
+// forest is not persisted: a decoded model rebuilds it on first
+// prediction, with identical values.
 func (m *Model) AppendBinary(e *binpack.Enc) {
 	e.Int(int(m.Kind))
 	e.F64(m.Weights.WPhy)

@@ -8,20 +8,14 @@ import (
 
 // fitObs caches the resolved characterization counters.
 //
-// fits, candidates, trimmed and predictions are deterministic: the grid
-// is fixed by FitConfig, trimming is a pure function of the sample set,
-// and the pipeline issues the same Predict calls for any worker count.
-// forestWalks is deliberately a gauge: it counts prediction-cache
-// misses, and concurrent fills of Model.predCache may double-walk the
-// forest for the same distance (benignly — the stored value is equal),
-// so the miss count depends on scheduling and must not participate in
-// the deterministic counter section.
+// All four are deterministic: the grid is fixed by FitConfig, trimming
+// is a pure function of the sample set, and the pipeline issues the
+// same Predict calls for any worker count.
 type fitObs struct {
 	fits        *obs.Counter
 	candidates  *obs.Counter
 	trimmed     *obs.Counter
 	predictions *obs.Counter
-	forestWalks *obs.Gauge
 }
 
 var observer atomic.Pointer[fitObs]
@@ -38,6 +32,5 @@ func Observe(r *obs.Registry) {
 		candidates:  r.Counter("crosstalk/fit_candidates"),
 		trimmed:     r.Counter("crosstalk/trimmed_samples"),
 		predictions: r.Counter("crosstalk/predictions"),
-		forestWalks: r.Gauge("crosstalk/forest_walks"),
 	})
 }

@@ -14,8 +14,9 @@ import (
 // characterization is the artifact of one characterize stage: a fitted
 // crosstalk model, its predictor bound to the measured device's chip
 // and the campaign's fault accounting. The predictor is cached with the
-// model because its lazy prediction memo (crosstalk.Model.predCache)
-// makes warm redesigns cheaper the more it is shared.
+// model because binding it (crosstalk.Model.On) tabulates the chip's
+// distances and every qubit pair's prediction: shared, that work runs
+// once per fit instead of on every warm redesign.
 type characterization struct {
 	Model *crosstalk.Model
 	Pred  *crosstalk.Predictor

@@ -9,24 +9,26 @@
 package mlfit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
-// treeNode is one node of a regression tree. Leaves have feature == -1.
+// treeNode is one node of a regression tree. A tree stores its nodes in
+// preorder, so a split node's left child is the node right after it and
+// only the right child needs an index. Leaves have feature == -1.
 type treeNode struct {
-	feature   int     // split feature index, -1 for leaf
+	feature   int32   // split feature index, -1 for leaf
+	right     int32   // index of the right child (split nodes only)
 	threshold float64 // go left when x[feature] <= threshold
-	value     float64 // leaf prediction (mean of targets)
-	left      *treeNode
-	right     *treeNode
+	value     float64 // mean of the node's targets; the leaf prediction
 }
 
 // Tree is a CART regression tree.
 type Tree struct {
-	root     *treeNode
+	nodes    []treeNode // preorder; nodes[0] is the root
 	nFeature int
 }
 
@@ -53,40 +55,42 @@ func (cfg TreeConfig) normalized() TreeConfig {
 // rng is only used when cfg.MaxFeatures restricts the split search; a
 // nil rng is allowed in that case the full feature set is used.
 func FitTree(X [][]float64, y []float64, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
+	if err := checkTrainingSet(X, y); err != nil {
+		return nil, err
+	}
+	c := newGrowCtx(len(X[0]), len(X), cfg)
+	c.rng = rng
+	c.load(X, y)
+	c.growTree(allRows(len(X)))
+	return &Tree{nodes: c.nodes, nFeature: len(X[0])}, nil
+}
+
+// allRows lists rows 0..n-1.
+func allRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+func checkTrainingSet(X [][]float64, y []float64) error {
 	if len(X) == 0 {
-		return nil, fmt.Errorf("mlfit: empty training set")
+		return fmt.Errorf("mlfit: empty training set")
 	}
 	if len(X) != len(y) {
-		return nil, fmt.Errorf("mlfit: %d rows but %d targets", len(X), len(y))
+		return fmt.Errorf("mlfit: %d rows but %d targets", len(X), len(y))
 	}
 	nf := len(X[0])
 	for i, row := range X {
 		if len(row) != nf {
-			return nil, fmt.Errorf("mlfit: row %d has %d features, want %d", i, len(row), nf)
+			return fmt.Errorf("mlfit: row %d has %d features, want %d", i, len(row), nf)
 		}
 	}
-	cfg = cfg.normalized()
-	n := len(X)
-	c := &growCtx{
-		X: X, y: y, cfg: cfg, rng: rng,
-		features: make([]int, nf),
-		order:    make([]int, n),
-		part:     make([]int, 0, n),
-		// Every leaf holds ≥1 distinct sample (splits require both
-		// sides non-empty), so a tree over n samples has ≤ n leaves
-		// and ≤ 2n-1 nodes: one arena allocation covers the tree.
-		nodes: make([]treeNode, 0, 2*n-1),
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	t := &Tree{nFeature: nf}
-	t.root = c.grow(idx, 0)
-	return t, nil
+	return nil
 }
 
-func mean(y []float64, idx []int) float64 {
+func mean(y []float64, idx []int32) float64 {
 	var s float64
 	for _, i := range idx {
 		s += y[i]
@@ -94,9 +98,8 @@ func mean(y []float64, idx []int) float64 {
 	return s / float64(len(idx))
 }
 
-// sse returns the sum of squared errors of idx around its mean.
-func sse(y []float64, idx []int) float64 {
-	m := mean(y, idx)
+// sse returns the sum of squared errors of idx around its mean m.
+func sse(y []float64, idx []int32, m float64) float64 {
 	var s float64
 	for _, i := range idx {
 		d := y[i] - m
@@ -105,41 +108,161 @@ func sse(y []float64, idx []int) float64 {
 	return s
 }
 
-// growCtx is the per-tree growth arena: node storage plus the feature,
-// sort-order and partition scratch shared by every node of one FitTree
-// call. A node uses the scratch only before recursing, so one buffer
-// of each kind serves the whole tree; the recursion itself allocates
-// nothing. Split search (sort.Slice over the same comparison) and RNG
-// consumption (Shuffle per candidate node) are unchanged, so grown
-// trees are bit-identical to the historical allocate-per-node code.
+// growCtx is the tree-growth arena. It holds one loaded row set and
+// grows any number of trees over it, one at a time, into the same
+// buffers; growth allocates nothing once the buffers are sized.
+//
+// Rows are sorted once per feature when loaded, and a tree never sorts
+// again: growTree lays its rows out in that order by a counting sort of
+// its draw keyed by rank, and every node reads its rows as one
+// contiguous segment [lo,hi) of each feature's order. A split
+// stable-partitions every segment in place, so both children's
+// segments stay sorted. Growing a level costs O(n·features) instead of
+// a sort per node and feature.
+//
+// Tie order: rows with equal feature values sit in loaded-row order,
+// and repeats of one row in draw order. Trees must match those of the
+// reference grower in legacy_test.go, which sorts every node's rows
+// with sort.Slice. Node means and SSEs are summed in the same order as
+// there (tree rows ascending); the split search's prefix sums visit
+// tied rows in a different order, which can move their last bit. That
+// changes a tree only where two candidate splits have equal gain in
+// exact arithmetic: not seen on one feature, but common with several
+// tied features, two of which can cut a node into the same halves
+// (presort_test.go pins both cases).
 type growCtx struct {
-	X        [][]float64
-	y        []float64
-	cfg      TreeConfig
-	rng      *rand.Rand
+	cfg TreeConfig
+	rng *rand.Rand
+
+	// The loaded rows, column-major: cols[f][r] is feature f of row r,
+	// and rank[f][r] is r's position among the rows sorted by
+	// (cols[f], r).
+	cols [][]float64
+	ty   []float64
+	rank [][]int32
+
+	// The tree being grown: tree row p is loaded row draw[p], with
+	// features x[f][p] and target y[p]. A node owns the segment
+	// [lo,hi) of idx (its rows, ascending) and of every sorted[f] (its
+	// rows by ascending x[f]).
+	draw   []int32
+	x      [][]float64
+	y      []float64
+	sorted [][]int32
+	idx    []int32
+	left   []uint8 // left[p] is 1 if row p goes left at the split being applied
+	part   []int32 // stable-partition scratch
+	count  []int32 // counting-sort offsets, one per rank plus one
+
 	features []int
-	order    []int
-	part     []int
 	nodes    []treeNode
 }
 
-// newNode appends to the arena and returns a pointer to the element.
-// The tree is held together only by these returned pointers (the slice
-// is never re-indexed), so the structure stays correct even if the
-// arena were ever to grow past its sized capacity.
-func (c *growCtx) newNode(n treeNode) *treeNode {
-	c.nodes = append(c.nodes, n)
-	return &c.nodes[len(c.nodes)-1]
+// newGrowCtx sizes an arena for up to n loaded rows of nf features.
+func newGrowCtx(nf, n int, cfg TreeConfig) *growCtx {
+	c := &growCtx{
+		cfg:      cfg.normalized(),
+		cols:     make([][]float64, nf),
+		ty:       make([]float64, 0, n),
+		rank:     make([][]int32, nf),
+		draw:     make([]int32, n),
+		x:        make([][]float64, nf),
+		y:        make([]float64, n),
+		sorted:   make([][]int32, nf),
+		idx:      make([]int32, n),
+		left:     make([]uint8, n),
+		part:     make([]int32, n),
+		count:    make([]int32, n+1),
+		features: make([]int, nf),
+		// Every leaf holds ≥1 sample (splits require both sides
+		// non-empty), so a tree over n rows has ≤ 2n-1 nodes.
+		nodes: make([]treeNode, 0, 2*n-1),
+	}
+	for f := 0; f < nf; f++ {
+		c.cols[f] = make([]float64, n)
+		c.rank[f] = make([]int32, n)
+		c.x[f] = make([]float64, n)
+		c.sorted[f] = make([]int32, n)
+	}
+	return c
 }
 
-func (c *growCtx) grow(idx []int, depth int) *treeNode {
-	X, y, cfg := c.X, c.y, c.cfg
+// load loads the rows X, y (at most the sized count) and ranks each
+// feature's rows: the only sort.
+func (c *growCtx) load(X [][]float64, y []float64) {
+	c.ty = append(c.ty[:0], y...)
+	for f := range c.cols {
+		col := c.cols[f][:len(X)]
+		for r, row := range X {
+			col[r] = row[f]
+		}
+		ord := c.sorted[f][:len(X)]
+		for r := range ord {
+			ord[r] = int32(r)
+		}
+		slices.SortFunc(ord, func(a, b int32) int {
+			if d := cmp.Compare(col[a], col[b]); d != 0 {
+				return d
+			}
+			return cmp.Compare(a, b)
+		})
+		rank := c.rank[f][:len(X)]
+		for i, r := range ord {
+			rank[r] = int32(i)
+		}
+		c.cols[f], c.rank[f] = col, rank
+	}
+}
+
+// growTree grows one tree into c.nodes over the loaded rows listed in
+// draw (repeats allowed), replacing the previous tree.
+func (c *growCtx) growTree(draw []int32) {
+	n := len(draw)
+	for f, rank := range c.rank {
+		// Counting sort of the tree rows by rank; repeats of one row
+		// keep draw order.
+		count := c.count[:len(rank)+1]
+		clear(count)
+		for _, r := range draw {
+			count[rank[r]+1]++
+		}
+		for k := 1; k < len(count); k++ {
+			count[k] += count[k-1]
+		}
+		sorted, x, col := c.sorted[f][:n], c.x[f][:n], c.cols[f]
+		for p, r := range draw {
+			k := rank[r]
+			sorted[count[k]] = int32(p)
+			count[k]++
+			x[p] = col[r]
+		}
+	}
+	for p, r := range draw {
+		c.y[p] = c.ty[r]
+		c.idx[p] = int32(p)
+	}
+	c.nodes = c.nodes[:0]
+	c.grow(0, n, 0)
+}
+
+// leaf appends a leaf node.
+func (c *growCtx) leaf(val float64) {
+	c.nodes = append(c.nodes, treeNode{feature: -1, value: val})
+}
+
+// grow grows the subtree over the node segment [lo,hi), appending its
+// nodes in preorder. It consumes the RNG exactly as the reference
+// grower does: one Shuffle per node that searches for a split.
+func (c *growCtx) grow(lo, hi, depth int) {
+	y, cfg := c.y, c.cfg
+	idx := c.idx[lo:hi]
 	val := mean(y, idx)
 	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSize {
-		return c.newNode(treeNode{feature: -1, value: val})
+		c.leaf(val)
+		return
 	}
 
-	nf := len(X[0])
+	nf := len(c.x)
 	features := c.features[:nf]
 	for i := range features {
 		features[i] = i
@@ -152,12 +275,10 @@ func (c *growCtx) grow(idx []int, depth int) *treeNode {
 	bestGain := 0.0
 	bestFeature := -1
 	bestThreshold := 0.0
-	parentSSE := sse(y, idx)
+	parentSSE := sse(y, idx, val)
 
-	order := c.order[:len(idx)]
 	for _, f := range features {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+		order, x := c.sorted[f][lo:hi], c.x[f]
 
 		// Prefix sums allow O(1) variance evaluation of every split.
 		var sumL, sumSqL float64
@@ -173,7 +294,7 @@ func (c *growCtx) grow(idx []int, depth int) *treeNode {
 			sumR -= v
 			sumSqR -= v * v
 			// Only split between distinct feature values.
-			if X[order[k]][f] == X[order[k+1]][f] {
+			if x[order[k]] == x[order[k+1]] {
 				continue
 			}
 			nl, nr := k+1, len(order)-k-1
@@ -186,66 +307,88 @@ func (c *growCtx) grow(idx []int, depth int) *treeNode {
 			if gain > bestGain {
 				bestGain = gain
 				bestFeature = f
-				bestThreshold = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				bestThreshold = (x[order[k]] + x[order[k+1]]) / 2
 			}
 		}
 	}
 
 	if bestFeature < 0 || bestGain <= 1e-15 {
-		return c.newNode(treeNode{feature: -1, value: val})
+		c.leaf(val)
+		return
 	}
 
-	// Stable in-place partition of idx: the left block keeps idx order
-	// in place, the right block is staged in the scratch and copied
-	// behind it — the same left++right ordering the historical
-	// append-into-fresh-slices code produced. The parent no longer
-	// reads idx after this point, so the children own the two halves.
-	part := c.part[:0]
-	nl := 0
-	for _, i := range idx {
-		if X[i][bestFeature] <= bestThreshold {
-			idx[nl] = i
-			nl++
+	x, nl := c.x[bestFeature], 0
+	for _, p := range idx {
+		var l uint8
+		if x[p] <= bestThreshold {
+			l = 1
+		}
+		c.left[p] = l
+		nl += int(l)
+	}
+	if nl == 0 || nl == len(idx) {
+		c.leaf(val)
+		return
+	}
+	for _, s := range c.sorted {
+		c.partition(s[lo:hi], nl)
+	}
+	c.partition(idx, nl)
+
+	self := len(c.nodes)
+	c.nodes = append(c.nodes, treeNode{feature: int32(bestFeature), threshold: bestThreshold, value: val})
+	c.grow(lo, lo+nl, depth+1)
+	c.nodes[self].right = int32(len(c.nodes))
+	c.grow(lo+nl, hi, depth+1)
+}
+
+// partition stably moves the nl rows of s marked in c.left to the
+// front. The split feature's own segment is usually in place already.
+func (c *growCtx) partition(s []int32, nl int) {
+	k := 0
+	for k < nl && c.left[s[k]] == 1 {
+		k++
+	}
+	if k == nl {
+		return
+	}
+	// Branch-free: every row is written to both sides, and only the
+	// cursor of its own side advances.
+	right, r := c.part[:len(s)], 0
+	for _, p := range s[k:] {
+		l := int(c.left[p])
+		s[k], right[r] = p, p
+		k += l
+		r += 1 - l
+	}
+	copy(s[k:], right[:r])
+}
+
+// predict walks preorder nodes for feature vector x.
+func predict(nodes []treeNode, x []float64) float64 {
+	i := 0
+	for nodes[i].feature >= 0 {
+		if x[nodes[i].feature] <= nodes[i].threshold {
+			i++
 		} else {
-			part = append(part, i)
+			i = int(nodes[i].right)
 		}
 	}
-	copy(idx[nl:], part)
-	c.part = part
-	if nl == 0 || nl == len(idx) {
-		return c.newNode(treeNode{feature: -1, value: val})
-	}
-	nd := c.newNode(treeNode{feature: bestFeature, threshold: bestThreshold, value: val})
-	nd.left = c.grow(idx[:nl], depth+1)
-	nd.right = c.grow(idx[nl:], depth+1)
-	return nd
+	return nodes[i].value
 }
 
 // Predict returns the tree's prediction for feature vector x.
-func (t *Tree) Predict(x []float64) float64 {
-	n := t.root
-	for n.feature >= 0 {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
-}
+func (t *Tree) Predict(x []float64) float64 { return predict(t.nodes, x) }
 
 // Depth returns the maximum depth of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int { return nodeDepth(t.root) }
+func (t *Tree) Depth() int { return t.depthAt(0) }
 
-func nodeDepth(n *treeNode) int {
-	if n == nil || n.feature < 0 {
+func (t *Tree) depthAt(i int) int {
+	n := t.nodes[i]
+	if n.feature < 0 {
 		return 0
 	}
-	l, r := nodeDepth(n.left), nodeDepth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
+	return 1 + max(t.depthAt(i+1), t.depthAt(int(n.right)))
 }
 
 // MSE returns the mean squared error between predictions and targets,

@@ -138,39 +138,86 @@ func conflicts(gi *GateInfo, a, b int) bool {
 	return false
 }
 
-// nonParallelFraction returns the fraction of (candidate gate, member
-// gate) pairs that can never execute simultaneously — either
-// topologically (they share a qubit, step 2 of the grouping) or noisily
-// (their predicted mutual crosstalk exceeds the threshold, step 3). A
-// fraction of 1 means grouping the candidate costs no parallelism at
-// all; devices without gates are trivially non-parallel.
-func nonParallelFraction(gi *GateInfo, group []int, cand int, cfg Config) float64 {
-	pairs, np := 0, 0
-	for _, m := range group {
-		if cfg.SparseQubitZ && (!gi.Dev.IsCoupler(cand) || !gi.Dev.IsCoupler(m)) {
-			// Surface-code mode: any pair involving a qubit is free.
-			continue
-		}
-		for _, gc := range gi.GatesOf[cand] {
-			for _, gm := range gi.GatesOf[m] {
-				if gm == gc {
-					continue
-				}
-				pairs++
-				if gatesShareQubit(gi, gm, gc) {
-					np++
-					continue
-				}
-				if cfg.Crosstalk != nil && gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold {
-					np++
-				}
+// gatePairs counts the (candidate gate, member gate) pairs between
+// devices cand and m, and how many of them can never execute
+// simultaneously — either topologically (they share a qubit, step 2 of
+// the grouping) or noisily (their predicted mutual crosstalk exceeds
+// the threshold, step 3). Summed over a group's members, np/pairs is
+// the candidate's non-parallel fraction: 1 means grouping it costs no
+// parallelism at all, and devices without gates are trivially
+// non-parallel (no pairs).
+func gatePairs(gi *GateInfo, m, cand int, cfg Config, noisy *noisyPairs) (pairs, np int) {
+	if cfg.SparseQubitZ && (!gi.Dev.IsCoupler(cand) || !gi.Dev.IsCoupler(m)) {
+		// Surface-code mode: any pair involving a qubit is free.
+		return 0, 0
+	}
+	for _, gc := range gi.GatesOf[cand] {
+		for _, gm := range gi.GatesOf[m] {
+			if gm == gc {
+				continue
+			}
+			pairs++
+			if gatesShareQubit(gi, gm, gc) {
+				np++
+				continue
+			}
+			if cfg.Crosstalk != nil && noisy.isNoisy(gi, gm, gc, cfg) {
+				np++
 			}
 		}
 	}
+	return pairs, np
+}
+
+func nonParallelFraction(pairs, np int) float64 {
 	if pairs == 0 {
 		return 1
 	}
 	return float64(np) / float64(pairs)
+}
+
+// noisyPairs memoizes, for the gates of one groupLevel call's devices,
+// whether a gate pair is noisy non-parallel: gateCrosstalk(gm, gc) >
+// NoiseThreshold. The bit depends on neither Theta nor the group being
+// grown, while a gate pair recurs for every device pair its gates
+// occupy. The call's gates are numbered densely, so the bitsets are
+// sized by one region's gates, not the chip's.
+type noisyPairs struct {
+	local []int32 // local[g]: gate g's dense number, -1 if not in the call
+	n     int
+	// Bit a*n+b of known/noisy: local gates a, b have been asked / are
+	// noisy non-parallel.
+	known, noisy []uint64
+}
+
+func newNoisyPairs(gi *GateInfo, devs []int) *noisyPairs {
+	p := &noisyPairs{local: make([]int32, len(gi.Gates))}
+	for g := range p.local {
+		p.local[g] = -1
+	}
+	for _, d := range devs {
+		for _, g := range gi.GatesOf[d] {
+			if p.local[g] < 0 {
+				p.local[g] = int32(p.n)
+				p.n++
+			}
+		}
+	}
+	words := (p.n*p.n + 63) / 64
+	p.known, p.noisy = make([]uint64, words), make([]uint64, words)
+	return p
+}
+
+func (p *noisyPairs) isNoisy(gi *GateInfo, gm, gc int, cfg Config) bool {
+	k := int(p.local[gm])*p.n + int(p.local[gc])
+	w, bit := k/64, uint64(1)<<(k%64)
+	if p.known[w]&bit == 0 {
+		p.known[w] |= bit
+		if gateCrosstalk(gi, gm, gc, cfg.Crosstalk) > cfg.NoiseThreshold {
+			p.noisy[w] |= bit
+		}
+	}
+	return p.noisy[w]&bit != 0
 }
 
 func gatesShareQubit(gi *GateInfo, a, b int) bool {
@@ -194,6 +241,28 @@ func gateCrosstalk(gi *GateInfo, a, b int, xt CrosstalkFunc) float64 {
 func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Config) []Group {
 	remaining := sortedByIndex(devs, idx)
 	inGroup := make(map[int]bool)
+	noisy := newNoisyPairs(gi, devs)
+	// Per remaining device, against the group being grown: whether it
+	// may legally join, and its gate-pair tallies (see gatePairs). A
+	// member's contribution never changes, so each is added once, when
+	// the member joins.
+	legal := make([]bool, len(remaining))
+	pairs := make([]int32, len(remaining))
+	np := make([]int32, len(remaining))
+	join := func(member int) {
+		for ci, cand := range remaining {
+			if inGroup[cand] || !legal[ci] {
+				continue
+			}
+			if conflicts(gi, cand, member) {
+				legal[ci] = false
+				continue
+			}
+			p, n := gatePairs(gi, member, cand, cfg, noisy)
+			pairs[ci] += int32(p)
+			np[ci] += int32(n)
+		}
+	}
 	var groups []Group
 
 	for len(remaining) > 0 {
@@ -202,6 +271,10 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 		group := []int{seed}
 		inGroup[seed] = true
 		lossy := 0
+		for ci := range remaining {
+			legal[ci], pairs[ci], np[ci] = true, 0, 0
+		}
+		join(seed)
 
 		for len(group) < capacity {
 			best, bestKey := -1, math.Inf(-1)
@@ -212,18 +285,8 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 			}
 			meanIdx /= float64(len(group))
 
-			for _, cand := range remaining {
-				if inGroup[cand] {
-					continue
-				}
-				legal := true
-				for _, m := range group {
-					if conflicts(gi, cand, m) {
-						legal = false
-						break
-					}
-				}
-				if !legal {
+			for ci, cand := range remaining {
+				if inGroup[cand] || !legal[ci] {
 					continue
 				}
 				// Steps 2 and 3: devices fully non-parallel to the
@@ -233,7 +296,7 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 				// gates, so admission is bounded by LossyLimit and
 				// MinLossyFraction, and the balancing rule (closest
 				// parallelism index) breaks ties.
-				frac := nonParallelFraction(gi, group, cand, cfg)
+				frac := nonParallelFraction(int(pairs[ci]), int(np[ci]))
 				strict := frac >= 0.999
 				if !strict {
 					if lossy >= cfg.LossyLimit || frac < cfg.MinLossyFraction {
@@ -252,6 +315,9 @@ func groupLevel(gi *GateInfo, devs []int, capacity int, idx []float64, cfg Confi
 			inGroup[best] = true
 			if !bestStrict {
 				lossy++
+			}
+			if len(group) < capacity {
+				join(best)
 			}
 		}
 

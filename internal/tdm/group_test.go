@@ -206,9 +206,14 @@ func TestYoutiaoBeatsLocalClusteringOnNonParallelism(t *testing.T) {
 	}
 }
 
-// meanGroupNonParallel averages nonParallelFraction over every grouped
+// meanGroupNonParallel averages the non-parallel fraction of every grouped
 // device against its co-members.
 func meanGroupNonParallel(gi *GateInfo, g *Grouping, cfg Config) float64 {
+	devs := make([]int, gi.Dev.Count())
+	for i := range devs {
+		devs[i] = i
+	}
+	noisy := newNoisyPairs(gi, devs)
 	var sum float64
 	var n int
 	for _, grp := range g.Groups {
@@ -217,7 +222,12 @@ func meanGroupNonParallel(gi *GateInfo, g *Grouping, cfg Config) float64 {
 		}
 		for i, d := range grp.Devices {
 			others := append(append([]int(nil), grp.Devices[:i]...), grp.Devices[i+1:]...)
-			sum += nonParallelFraction(gi, others, d, cfg)
+			var pairs, np int
+			for _, m := range others {
+				p, n := gatePairs(gi, m, d, cfg, noisy)
+				pairs, np = pairs+p, np+n
+			}
+			sum += nonParallelFraction(pairs, np)
 			n++
 		}
 	}
