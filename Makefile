@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/stage/cas -run NONE -fuzz FuzzCASHeader -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hypo -run NONE -fuzz FuzzExperimentSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/parallel -run NONE -fuzz FuzzSeededSource -fuzztime $(FUZZTIME)
 
 # The benchmark-regression trajectory: run the full suite with
 # allocation reporting, snapshot it as $(OUT)/BENCH_<stamp>.json, and

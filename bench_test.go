@@ -365,12 +365,14 @@ func BenchmarkForestFit(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiPathDistances runs on one worker so allocs/op does not
+// depend on the machine's CPU count (each worker adds a BFS scratch).
 func BenchmarkMultiPathDistances(b *testing.B) {
 	g := chip.Square(10, 10).Graph()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.AllMultiPathDistances()
+		g.AllMultiPathDistancesWorkers(1)
 	}
 }
 
@@ -541,6 +543,42 @@ func BenchmarkCrosstalkFit(b *testing.B) {
 		if _, err := crosstalk.Fit(c, samples, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCalibrationCampaign times the XY calibration campaign of a
+// 400-qubit chip on one worker: 79,800 pairs, each reseeding a pooled
+// RNG onto its own stream and drawing one noise sample.
+func BenchmarkCalibrationCampaign(b *testing.B) {
+	dev := xmon.NewDevice(chip.Square(20, 20), xmon.DefaultParams(), rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		samples := dev.MeasureSeeded(xmon.XY, 0.05, 1, 1)
+		b.ReportMetric(samples[0].Value, "xt-0-1")
+	}
+}
+
+// BenchmarkAllocate400Q times the greedy two-level frequency allocation
+// of a 400-qubit chip grouped onto 5-qubit lines, with crosstalk read
+// from a precomputed pair table as the pipeline's predictor serves it.
+func BenchmarkAllocate400Q(b *testing.B) {
+	c := chip.Square(20, 20)
+	dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(1)))
+	m := dev.CrosstalkMatrix(xmon.XY)
+	xt := func(i, j int) float64 { return m[i][j] }
+	g, err := fdm.GroupChip(c, 5, func(i, j int) float64 { return c.PhysicalDistance(i, j) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := fdm.Allocate(g, xt, fdm.DefaultAllocOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(plan.Reused), "reused")
 	}
 }
 

@@ -106,7 +106,17 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 	for z := range occupants {
 		occupants[z] = make([][]int, cellsPerZone)
 	}
-	var assigned []int
+	n := 0
+	for _, group := range g.Groups {
+		n += len(group)
+	}
+	// assigned lists the placed qubits in placement order; assignedFreq
+	// holds their frequencies, index for index.
+	assigned := make([]int, 0, n)
+	assignedFreq := make([]float64, 0, n)
+	// row[k] is xt(q, assigned[k]) for the qubit q being placed: one xt
+	// call per pair, shared by every candidate cell.
+	row := make([]float64, 0, n)
 
 	// cellFor picks the cell for qubit q in zone z: among free cells,
 	// the one minimizing the leakage-weighted predicted crosstalk
@@ -115,13 +125,17 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 	// crowding, occupied cells compete too, and the cheapest reuse
 	// wins.
 	cellFor := func(q, z int) (int, bool) {
+		row = row[:0]
+		for _, o := range assigned {
+			row = append(row, xt(q, o))
+		}
 		bestFree, bestFreeCost := -1, math.Inf(1)
 		bestAny, bestAnyCost := 0, math.Inf(1)
 		for cell := 0; cell < cellsPerZone; cell++ {
 			f := CellFreq(zones, CellRef{Zone: z, Cell: cell})
 			var cost float64
-			for _, o := range assigned {
-				cost += pairCost(xt, f, plan.Freq[o], q, o)
+			for k, x := range row {
+				cost += x * leakage(f-assignedFreq[k])
 			}
 			free := len(occupants[z][cell]) == 0
 			if free && cost < bestFreeCost {
@@ -137,25 +151,36 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 		return bestAny, true
 	}
 
+	// zoneCentre[z] is the frequency a group member in zone z is scored
+	// at during the swap search.
+	zoneCentre := make([]float64, zones)
+	for z := range zoneCentre {
+		lo, _ := ZoneBounds(zones, z)
+		zoneCentre[z] = lo + (hi0-lo0)/2
+	}
+	// For the group under search, crossXT[a*m+j] = xt(group[a],
+	// assigned[j]) over the m qubits assigned before the group; it does
+	// not change while the group's zones are permuted.
+	var crossXT []float64
+	if opts.CrossLine {
+		crossXT = make([]float64, 0, zones*n)
+	}
+
 	// groupCost scores a candidate zone permutation for one group given
 	// everything already assigned.
 	groupCost := func(group []int, zoneOf []int) float64 {
+		m := len(assigned)
 		var cost float64
-		freq := func(idx int) float64 {
-			z := zoneOf[idx]
-			lo, _ := ZoneBounds(zones, z)
-			return lo + (hi0-lo0)/2
-		}
 		for a := 0; a < len(group); a++ {
-			fa := freq(a)
+			fa := zoneCentre[zoneOf[a]]
 			// In-line: members of the same group share a physical line,
 			// so their mutual leakage always counts.
 			for b := a + 1; b < len(group); b++ {
-				cost += pairCost(xt, fa, freq(b), group[a], group[b])
+				cost += xt(group[a], group[b]) * leakage(fa-zoneCentre[zoneOf[b]])
 			}
 			if opts.CrossLine {
-				for _, o := range assigned {
-					cost += pairCost(xt, fa, plan.Freq[o], group[a], o)
+				for j, x := range crossXT[a*m : (a+1)*m] {
+					cost += x * leakage(fa-assignedFreq[j])
 				}
 			}
 		}
@@ -173,21 +198,34 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 		}
 		// Local search: swap zone assignments within the group while it
 		// improves the objective (constraint 3 / the q4<->q6 swap).
-		for pass := 0; pass < opts.SwapPasses; pass++ {
-			improved := false
-			for a := 0; a < len(group); a++ {
-				for b := a + 1; b < len(group); b++ {
-					before := groupCost(group, zoneOf)
-					zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
-					if groupCost(group, zoneOf) < before {
-						improved = true
-					} else {
-						zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
+		// before is always the cost of the current zoneOf: the last
+		// accepted swap's cost, or the state a rejected swap restored.
+		if opts.SwapPasses > 0 && len(group) > 1 {
+			crossXT = crossXT[:0]
+			if opts.CrossLine {
+				for _, q := range group {
+					for _, o := range assigned {
+						crossXT = append(crossXT, xt(q, o))
 					}
 				}
 			}
-			if !improved {
-				break
+			before := groupCost(group, zoneOf)
+			for pass := 0; pass < opts.SwapPasses; pass++ {
+				improved := false
+				for a := 0; a < len(group); a++ {
+					for b := a + 1; b < len(group); b++ {
+						zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
+						if after := groupCost(group, zoneOf); after < before {
+							improved = true
+							before = after
+						} else {
+							zoneOf[a], zoneOf[b] = zoneOf[b], zoneOf[a]
+						}
+					}
+				}
+				if !improved {
+					break
+				}
 			}
 		}
 		// Commit: pick cells and final frequencies.
@@ -199,9 +237,11 @@ func Allocate(g *Grouping, xt CrosstalkFunc, opts AllocOptions) (*FrequencyPlan,
 			}
 			occupants[z][cell] = append(occupants[z][cell], q)
 			ref := CellRef{Zone: z, Cell: cell}
+			f := CellFreq(zones, ref)
 			plan.Cell[q] = ref
-			plan.Freq[q] = CellFreq(zones, ref)
+			plan.Freq[q] = f
 			assigned = append(assigned, q)
+			assignedFreq = append(assignedFreq, f)
 		}
 	}
 	return plan, nil

@@ -30,11 +30,15 @@ type poolObs struct {
 	maxWorkers *obs.Gauge
 	// rngPooled counts generators allocated into Rands pools and
 	// rngReseeds the task reseeds served from them — every reseed is
-	// one ~5 KB TaskRand allocation avoided. Gauges (execution/capacity
-	// detail): both scale with the resolved worker count, which the
+	// one TaskRand allocation and seeding loop avoided. rngMaterialized
+	// counts the reseeded streams that drew past the 273-value window
+	// a seededSource computes from the seed alone, and so paid a full
+	// math/rand seeding after all. Gauges (execution/capacity detail):
+	// the first two scale with the resolved worker count, which the
 	// deterministic counter section must not see.
-	rngPooled  *obs.Gauge
-	rngReseeds *obs.Gauge
+	rngPooled       *obs.Gauge
+	rngReseeds      *obs.Gauge
+	rngMaterialized *obs.Gauge
 }
 
 var observer atomic.Pointer[poolObs]
@@ -49,13 +53,14 @@ func Observe(r *obs.Registry) {
 		return
 	}
 	observer.Store(&poolObs{
-		calls:      r.Counter("parallel/calls"),
-		tasks:      r.Counter("parallel/tasks"),
-		wall:       r.Histogram("parallel/call_wall"),
-		busyNs:     r.Gauge("parallel/worker_busy_ns"),
-		maxWorkers: r.Gauge("parallel/max_workers"),
-		rngPooled:  r.Gauge("parallel/rng_pooled"),
-		rngReseeds: r.Gauge("parallel/rng_scratch_reuse"),
+		calls:           r.Counter("parallel/calls"),
+		tasks:           r.Counter("parallel/tasks"),
+		wall:            r.Histogram("parallel/call_wall"),
+		busyNs:          r.Gauge("parallel/worker_busy_ns"),
+		maxWorkers:      r.Gauge("parallel/max_workers"),
+		rngPooled:       r.Gauge("parallel/rng_pooled"),
+		rngReseeds:      r.Gauge("parallel/rng_scratch_reuse"),
+		rngMaterialized: r.Gauge("parallel/rng_materialized"),
 	})
 }
 

@@ -10,6 +10,12 @@
 // streams with SplitMix64. Outputs are then bit-identical for any
 // worker count or GOMAXPROCS — Workers only changes how fast the
 // answer arrives, never what it is.
+//
+// A task's stream is rand.NewSource(TaskSeed(master, task)). TaskRand
+// allocates that source; a Rands pool serves the same stream from a
+// per-worker source whose Seed is O(1) and which computes its first
+// 273 values straight from the seed, so the calibration campaign's
+// one-draw-per-pair tasks never run math/rand's seeding loop.
 package parallel
 
 import (

@@ -3,12 +3,16 @@ package parallel
 import "math/rand"
 
 // Rands is a pool of per-worker reseedable RNGs for ForEachWorker-style
-// loops. TaskRand allocates a fresh generator (~5 KB of rngSource
-// state) per task; a Rands pool allocates one generator per worker once
-// and reseeds it at task entry, which produces the exact same stream —
-// rand.NewSource(seed) is itself "allocate then Seed(seed)", so
-// Source.Seed on the pooled source reproduces a fresh TaskRand
-// bit-for-bit.
+// loops. Seeding a math/rand source runs 1,841 modular multiplications
+// to fill its 607-word register, which costs far more than the few
+// values a calibration sample draws. A Rands slot instead wraps a
+// seededSource: Seed only normalises the seed, and each of the first
+// 273 draws computes the two register words it reads directly from the
+// seed. A stream that draws more than that materialises into a full
+// per-worker math/rand source, reseeded and advanced to the same
+// position. Either way the values are exactly those of
+// rand.New(rand.NewSource(seed)) — TaskRand's stream — and after each
+// worker's first materialisation the pool allocates nothing per task.
 //
 // Constraints, both consequences of reuse:
 //
@@ -20,7 +24,7 @@ import "math/rand"
 //     Every other method (Intn, Float64, NormFloat64, Perm, Shuffle,
 //     ...) is a pure function of the source stream.
 type Rands struct {
-	srcs  []rand.Source
+	srcs  []seededSource
 	rands []*rand.Rand
 }
 
@@ -28,10 +32,10 @@ type Rands struct {
 // Size it with Resolve(workers, n) so every id that can appear is
 // covered.
 func NewRands(w int) *Rands {
-	rs := &Rands{srcs: make([]rand.Source, w), rands: make([]*rand.Rand, w)}
-	for i := 0; i < w; i++ {
-		rs.srcs[i] = rand.NewSource(0)
-		rs.rands[i] = rand.New(rs.srcs[i])
+	rs := &Rands{srcs: make([]seededSource, w), rands: make([]*rand.Rand, w)}
+	for i := range rs.rands {
+		rs.srcs[i].Seed(0)
+		rs.rands[i] = rand.New(&rs.srcs[i])
 	}
 	if o := observer.Load(); o != nil {
 		o.rngPooled.Add(int64(w))
@@ -55,4 +59,109 @@ func (rs *Rands) Seeded(worker int, seed int64) *rand.Rand {
 		o.rngReseeds.Add(1)
 	}
 	return rs.rands[worker]
+}
+
+// The parameters of math/rand's generator (src/math/rand/rng.go): an
+// additive lagged Fibonacci register of rngLen words with tap rngTap,
+// seeded through the Lehmer generator x ← 48271·x mod (2³¹−1).
+const (
+	rngLen   = 607
+	rngTap   = 273
+	rngMask  = 1<<63 - 1
+	int32max = 1<<31 - 1
+	lehmerA  = 48271
+	// seedFallback replaces a seed that normalises to zero.
+	seedFallback = 89482311
+)
+
+// seedPow[i] holds 48271^k mod (2³¹−1) for the three Lehmer steps
+// k = 21+3i, 22+3i, 23+3i that math/rand's Seed combines into register
+// word i (it discards steps 1..20). Step k from seed x₀ is then one
+// multiplication, x₀·48271^k mod (2³¹−1), instead of k of them.
+var seedPow = func() (p [rngLen][3]uint64) {
+	x := uint64(1)
+	for k := 0; k < 20; k++ {
+		x = x * lehmerA % int32max
+	}
+	for i := range p {
+		for j := range p[i] {
+			x = x * lehmerA % int32max
+			p[i][j] = x
+		}
+	}
+	return p
+}()
+
+// seededSource is a rand.Source64 whose stream equals
+// rand.NewSource(seed)'s for every seed, with an O(1) Seed.
+//
+// math/rand's Uint64 moves a tap and a feed index down the register
+// from rngLen−1 and rngLen−rngTap−1 and overwrites the feed word with
+// the sum it returns. For the first rngTap draws neither index reaches
+// a word written earlier, so draw t is word(rngLen−rngTap−1−t) +
+// word(rngLen−1−t) of the freshly seeded register, and the register is
+// never needed. Draw rngTap reads the word draw 0 wrote: from there on
+// the stream comes from full, a real math/rand source reseeded and
+// advanced past the window.
+type seededSource struct {
+	x0    uint64 // normalised seed, in [1, 2³¹−2]
+	drawn int    // draws taken; past rngTap once full serves the stream
+	full  rand.Source64
+}
+
+// Seed normalises seed exactly as math/rand's Seed does and rewinds the
+// stream; it does no other work.
+func (s *seededSource) Seed(seed int64) {
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = seedFallback
+	}
+	s.x0 = uint64(seed)
+	s.drawn = 0
+}
+
+// word returns register word i as math/rand's Seed(x0) writes it.
+func (s *seededSource) word(i int) int64 {
+	p := &seedPow[i]
+	return int64(s.x0*p[0]%int32max)<<40 ^ int64(s.x0*p[1]%int32max)<<20 ^
+		int64(s.x0*p[2]%int32max) ^ rngCooked[i]
+}
+
+// Uint64 returns the next value of the stream.
+func (s *seededSource) Uint64() uint64 {
+	if t := s.drawn; t < rngTap {
+		s.drawn++
+		return uint64(s.word(rngLen-rngTap-1-t) + s.word(rngLen-1-t))
+	}
+	if s.drawn == rngTap {
+		s.materialize()
+	}
+	return s.full.Uint64()
+}
+
+// Int63 returns the next value of the stream with its top bit cleared,
+// as math/rand's source does.
+func (s *seededSource) Int63() int64 {
+	return int64(s.Uint64() & rngMask)
+}
+
+// materialize moves the stream onto full once the window is used up:
+// full is reseeded with the same seed and advanced by the rngTap draws
+// already served. It allocates full on the slot's first use only.
+func (s *seededSource) materialize() {
+	if s.full == nil {
+		s.full = rand.NewSource(int64(s.x0)).(rand.Source64)
+	} else {
+		s.full.Seed(int64(s.x0))
+	}
+	for i := 0; i < rngTap; i++ {
+		s.full.Uint64()
+	}
+	s.drawn++
+	if o := observer.Load(); o != nil {
+		o.rngMaterialized.Add(1)
+	}
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/hypo/testkit"
+	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // TestMeasureSeededWorkerCountInvariant: the parallel calibration
@@ -60,5 +62,31 @@ func TestMeasureSeededSeedSensitivity(t *testing.T) {
 	}
 	if same == len(a) {
 		t.Error("seeds 1 and 2 produced identical campaigns")
+	}
+}
+
+// TestMeasureSeededMatchesTaskRand: pair p's noise is the first draws
+// of TaskRand(seed, p), whatever pooled source serves them, and a
+// fault-free 36-qubit campaign never outgrows the pooled source's
+// seed-only window.
+func TestMeasureSeededMatchesTaskRand(t *testing.T) {
+	r := obs.New()
+	parallel.Observe(r)
+	defer parallel.Observe(nil)
+	d := NewDevice(chip.Square(6, 6), DefaultParams(), rand.New(rand.NewSource(4)))
+	for _, workers := range []int{1, 3} {
+		got := d.MeasureSeeded(XY, 0.05, 21, workers)
+		for p, s := range got {
+			want := d.MeasurePair(XY, s.I, s.J, 0.05, parallel.TaskRand(21, uint64(p)))
+			if s != want {
+				t.Fatalf("workers %d pair %d: %+v, want %+v", workers, p, s, want)
+			}
+		}
+	}
+	if got := r.Gauge("parallel/rng_materialized").Load(); got != 0 {
+		t.Fatalf("rng_materialized = %d, want 0", got)
+	}
+	if got := r.Gauge("parallel/rng_scratch_reuse").Load(); got != 2*36*35/2 {
+		t.Fatalf("rng_scratch_reuse = %d, want %d", got, 2*36*35/2)
 	}
 }
