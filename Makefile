@@ -61,9 +61,11 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the fault-injection, cancellation and context
-# plumbing — the code most likely to regress under concurrency.
+# plumbing — the code most likely to regress under concurrency. Obs
+# covers the per-build registries that concurrent builds carry in
+# their contexts.
 race-faults:
-	$(GO) test -race -count=1 -run 'Fault|Defect|Ctx|Cancel|Deadline' ./internal/parallel ./internal/faults ./internal/crosstalk ./internal/experiments
+	$(GO) test -race -count=1 -run 'Fault|Defect|Ctx|Cancel|Deadline|Obs' ./internal/parallel ./internal/faults ./internal/crosstalk ./internal/experiments
 
 fuzz:
 	$(GO) test ./internal/fdm -run NONE -fuzz FuzzGroupAllocate -fuzztime $(FUZZTIME)

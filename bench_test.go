@@ -339,7 +339,7 @@ var (
 		return fdm.Allocate(g, xt, fdm.DefaultAllocOptions())
 	}
 	fdmAnneal = func(p *fdm.FrequencyPlan, g *fdm.Grouping, xt fdm.CrosstalkFunc) (*fdm.FrequencyPlan, float64, float64, error) {
-		return fdm.Anneal(p, g, xt, fdm.DefaultAnnealOptions())
+		return fdm.Anneal(context.Background(), p, g, xt, fdm.DefaultAnnealOptions())
 	}
 )
 
@@ -554,7 +554,7 @@ func BenchmarkCalibrationCampaign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		samples := dev.MeasureSeeded(xmon.XY, 0.05, 1, 1)
+		samples := dev.MeasureSeeded(context.Background(), xmon.XY, 0.05, 1, 1)
 		b.ReportMetric(samples[0].Value, "xt-0-1")
 	}
 }

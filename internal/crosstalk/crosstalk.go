@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/mlfit"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/xmon"
 )
@@ -89,10 +90,12 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 	if cfg.Folds < 2 {
 		return nil, fmt.Errorf("crosstalk: need at least 2 folds, got %d", cfg.Folds)
 	}
+	trimmed := len(samples)
 	samples, err := trimOutliers(samples, cfg.TrimOutlierFraction)
 	if err != nil {
 		return nil, err
 	}
+	trimmed -= len(samples)
 	kind := samples[0].Kind
 	for _, s := range samples {
 		if s.Kind != kind {
@@ -134,9 +137,13 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 			cands = append(cands, candidate{wp, wt})
 		}
 	}
-	if o := observer.Load(); o != nil {
-		o.fits.Inc()
-		o.candidates.Add(int64(len(cands)))
+	// crosstalk/fits, fit_candidates and trimmed_samples are
+	// deterministic: the grid is fixed by FitConfig and trimming is a
+	// pure function of the sample set.
+	if r := obs.FromContext(ctx); r != nil {
+		r.Counter("crosstalk/fits").Inc()
+		r.Counter("crosstalk/fit_candidates").Add(int64(len(cands)))
+		r.Counter("crosstalk/trimmed_samples").Add(int64(trimmed))
 	}
 	mses := make([]float64, len(cands))
 	err = parallel.ForEachCtx(ctx, cfg.Workers, len(cands), func(ci int) error {
@@ -223,9 +230,6 @@ func trimOutliers(samples []xmon.Sample, fraction float64) ([]xmon.Sample, error
 			kept = append(kept, s)
 		}
 	}
-	if o := observer.Load(); o != nil {
-		o.trimmed.Add(int64(drop))
-	}
 	return kept, nil
 }
 
@@ -284,9 +288,6 @@ func (p *Predictor) EquivDistance(i, j int) float64 {
 func (p *Predictor) Predict(i, j int) float64 {
 	if i == j {
 		return 0
-	}
-	if o := observer.Load(); o != nil {
-		o.predictions.Inc()
 	}
 	return p.pairs[i*p.chip.NumQubits()+j]
 }

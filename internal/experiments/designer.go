@@ -109,10 +109,12 @@ type buildTarget struct {
 // invariant in opts.Workers — which is also why Workers appears in no
 // artifact key.
 func buildStaged(ctx context.Context, store *stage.Store, tgt buildTarget, opts Options, designSeed int64) (*Pipeline, error) {
-	// Per-build instrumentation: route the store's cache counters into
-	// the registry and open the design span tree. Every obs call below
-	// is nil-safe, so the disabled path costs a handful of nil checks.
-	store.Observe(opts.Obs)
+	// Per-build instrumentation: the build's context carries its
+	// registry to the store and every instrumented subsystem, and the
+	// design span tree opens here. Every obs call below is nil-safe,
+	// so the disabled path costs a handful of nil checks.
+	ctx = obs.NewContext(ctx, opts.Obs)
+	stage.RegisterMetrics(opts.Obs)
 	root := opts.Obs.StartSpan("design")
 	defer root.End()
 

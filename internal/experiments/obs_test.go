@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/chip"
@@ -10,14 +11,12 @@ import (
 )
 
 // designSnapshot runs a full faulted design at the given worker count
-// with a fresh registry capturing both the per-build stage metrics and
-// the process-global subsystem counters, and returns the stripped
+// with a fresh registry on Options.Obs, which captures both the stage
+// metrics and the subsystem counters, and returns the stripped
 // (deterministic-subset) snapshot.
 func designSnapshot(t *testing.T, workers int) obs.Snapshot {
 	t.Helper()
 	reg := obs.New()
-	Observe(reg)
-	defer Observe(nil)
 	opts := Options{
 		Seed:    3,
 		Workers: workers,
@@ -102,5 +101,52 @@ func TestOptionsDigestExcludesExecutionKnobs(t *testing.T) {
 		if other.Digest() == base.Digest() {
 			t.Errorf("%s change left the digest unchanged", name)
 		}
+	}
+}
+
+// Concurrent builds on one DesignCache (the store behind
+// youtiao.SharedCache) record into their own Options.Obs only: each
+// registry sees exactly its build's 8 stage executions and its own
+// calibration campaign, and a later warm build with a third registry
+// records hits and none of the recalled work.
+func TestDesignCacheObsIsolation(t *testing.T) {
+	dc := NewDesignCache()
+	chips := []*chip.Chip{chip.Square(4, 4), chip.Square(6, 6)}
+	regs := []*obs.Registry{obs.New(), obs.New()}
+	errs := make([]error, len(chips))
+	var wg sync.WaitGroup
+	for i := range chips {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = dc.Designer(chips[i]).Redesign(Options{Seed: 1, Obs: regs[i]})
+		}(i)
+	}
+	wg.Wait()
+	for i, reg := range regs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		n := int64(chips[i].NumQubits())
+		c := reg.Snapshot().Counters
+		if c["stage/misses"] != 8 || c["stage/hits"] != 0 {
+			t.Errorf("%dq build: stage/misses %d hits %d, want 8 and 0", n, c["stage/misses"], c["stage/hits"])
+		}
+		if want := n * (n - 1); c["faults/pairs"] != want {
+			t.Errorf("%dq build: faults/pairs %d, want %d (XY + ZZ campaigns)", n, c["faults/pairs"], want)
+		}
+		if c["crosstalk/fits"] != 2 {
+			t.Errorf("%dq build: crosstalk/fits %d, want 2", n, c["crosstalk/fits"])
+		}
+	}
+
+	warm := obs.New()
+	if _, err := dc.Designer(chips[0]).Redesign(Options{Seed: 1, Obs: warm}); err != nil {
+		t.Fatal(err)
+	}
+	c := warm.Snapshot().Counters
+	if c["stage/hits"] != 8 || c["stage/misses"] != 0 || c["faults/pairs"] != 0 || c["parallel/calls"] != 1 {
+		t.Errorf("warm build: hits %d misses %d faults/pairs %d parallel/calls %d, want 8, 0, 0, 1",
+			c["stage/hits"], c["stage/misses"], c["faults/pairs"], c["parallel/calls"])
 	}
 }

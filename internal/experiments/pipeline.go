@@ -92,13 +92,18 @@ type Options struct {
 	// 0 selects the default (3); negative disables retries.
 	RetryBudget int
 	// Obs, when non-nil, receives this build's instrumentation: stage
-	// cache hit/miss counters, per-stage latency histograms and the
-	// design span tree. It is pure observation — normalized() leaves it
-	// untouched, no artifact key digests it (Digest excludes it
-	// alongside Workers), and the designed system is bit-identical with
-	// or without it. Package-level counters (worker pool, calibration
-	// faults, fit, simulators) are process-global; route them into the
-	// same registry with Observe.
+	// cache hit/miss counters and per-stage latency histograms, the
+	// design span tree, and the counters of every subsystem the build
+	// runs (worker pool, calibration campaign, model fit, crosstalk
+	// predictions, anneal). It is the only way to attach a registry:
+	// the build carries it in its context (obs.NewContext) to every
+	// instrumented call, so concurrent builds sharing one store record
+	// into their own registries, and a build without one records
+	// nothing. Stage work a build recalls from the cache records
+	// nothing again: it was counted by the build that executed it. It
+	// is pure observation — normalized() leaves it untouched, no
+	// artifact key digests it (Digest excludes it alongside Workers),
+	// and the designed system is bit-identical with or without it.
 	Obs *obs.Registry
 }
 
@@ -153,6 +158,41 @@ func (o Options) normalized() Options {
 		o.Fit.TrimOutlierFraction = f
 	}
 	return o
+}
+
+// Digest returns a stable hex digest of every normalized option that
+// participates in the designed artifact — the manifest's identity for
+// "same design inputs". Workers, Fit.Workers and Obs are excluded by
+// the determinism contract: they change how the pipeline runs, never
+// what it designs.
+func (o Options) Digest() string {
+	n := o.normalized()
+	b := stage.NewKey("options").
+		Int64(n.Seed).
+		Int(n.FDMCapacity).
+		Float64(n.Theta).Bool(n.HasTheta).
+		Int(n.PartitionTargetSize).
+		Int(n.MaxFitSamples).Bool(n.HasMaxFitSamples).
+		Bool(n.SparseQubitZ).
+		Float64(n.TDMMinLossyFraction).
+		Int(n.TDMLossyLimit).
+		Int(n.AnnealSteps).
+		Floats(n.Fit.WeightGrid).
+		Int(n.Fit.Folds).
+		Int(n.Fit.Forest.NumTrees).
+		Int(n.Fit.Forest.Tree.MaxDepth).
+		Int(n.Fit.Forest.Tree.MinLeafSize).
+		Int(n.Fit.Forest.Tree.MaxFeatures).
+		Int64(n.Fit.Forest.Seed).
+		Float64(n.Fit.TrimOutlierFraction).
+		Float64(n.Faults.DeadQubitRate).
+		Float64(n.Faults.BrokenCouplerRate).
+		Float64(n.Faults.StuckLossyRate).
+		Float64(n.Faults.DropoutRate).
+		Float64(n.Faults.OutlierRate).
+		Float64(n.Faults.OutlierScale).
+		Int(n.RetryBudget)
+	return string(b.Done())
 }
 
 // Stable per-stage stream indices for parallel.TaskSeed: each pipeline
@@ -253,11 +293,10 @@ func (p *Pipeline) AttachModels(xy, zz *crosstalk.Model) error {
 	faultsK := faultsStageKey(base, p.Opts.Faults, p.Opts.Seed)
 	xyK := attachedModelKey(base, "xy", xy)
 	zzK := attachedModelKey(base, "zz", zz)
-	store := stage.NewStore()
-	store.Observe(p.Opts.Obs)
+	stage.RegisterMetrics(p.Opts.Obs)
 	root := p.Opts.Obs.StartSpan("attach-models")
 	defer root.End()
-	return designStaged(context.Background(), store, p, root, faultsK, xyK, zzK,
+	return designStaged(obs.NewContext(context.Background(), p.Opts.Obs), stage.NewStore(), p, root, faultsK, xyK, zzK,
 		parallel.TaskSeed(p.Opts.Seed+13, streamPartition))
 }
 

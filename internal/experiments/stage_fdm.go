@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/fdm"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stage"
 )
@@ -52,10 +53,28 @@ func allocateKey(fdmK, xyK stage.Key) stage.Key {
 
 // runAllocateStage runs the greedy two-level frequency allocation.
 func runAllocateStage(ctx context.Context, store *stage.Store, key stage.Key, g *fdm.Grouping, xt fdm.CrosstalkFunc) (*fdm.FrequencyPlan, error) {
-	plan, _, err := stage.Do(ctx, store, StageAllocate, key, 1, func(context.Context) (*fdm.FrequencyPlan, error) {
-		return fdm.Allocate(g, xt, fdm.DefaultAllocOptions())
+	plan, _, err := stage.Do(ctx, store, StageAllocate, key, 1, func(ctx context.Context) (*fdm.FrequencyPlan, error) {
+		return fdm.Allocate(g, countPredictions(ctx, xt), fdm.DefaultAllocOptions())
 	})
 	return plan, err
+}
+
+// countPredictions wraps a stage's crosstalk predictor so each
+// prediction for a distinct pair counts into crosstalk/predictions of
+// the registry ctx carries. The count is deterministic: the stages ask
+// for the same pairs at any worker count. With no registry xt comes
+// back unwrapped, so an unobserved build pays nothing per call.
+func countPredictions(ctx context.Context, xt func(i, j int) float64) func(i, j int) float64 {
+	c := obs.FromContext(ctx).Counter("crosstalk/predictions")
+	if c == nil {
+		return xt
+	}
+	return func(i, j int) float64 {
+		if i != j {
+			c.Inc()
+		}
+		return xt(i, j)
+	}
 }
 
 // annealKey keys the simulated-annealing refinement: the allocation it
@@ -67,11 +86,11 @@ func annealKey(allocK stage.Key, steps int, seed int64) stage.Key {
 // runAnnealStage refines a frequency plan with simulated annealing.
 // fdm.Anneal returns a fresh plan, so the cached input stays immutable.
 func runAnnealStage(ctx context.Context, store *stage.Store, key stage.Key, plan *fdm.FrequencyPlan, g *fdm.Grouping, xt fdm.CrosstalkFunc, steps int, seed int64) (*fdm.FrequencyPlan, error) {
-	refined, _, err := stage.Do(ctx, store, StageAnneal, key, 1, func(context.Context) (*fdm.FrequencyPlan, error) {
+	refined, _, err := stage.Do(ctx, store, StageAnneal, key, 1, func(ctx context.Context) (*fdm.FrequencyPlan, error) {
 		opts := fdm.DefaultAnnealOptions()
 		opts.Steps = steps
 		opts.Seed = seed
-		out, _, _, err := fdm.Anneal(plan, g, xt, opts)
+		out, _, _, err := fdm.Anneal(ctx, plan, g, countPredictions(ctx, xt), opts)
 		return out, err
 	})
 	return refined, err

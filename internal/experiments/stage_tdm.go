@@ -42,7 +42,7 @@ func runTDMStage(ctx context.Context, store *stage.Store, key stage.Key, c *chip
 			usableGate = func(g chip.TwoQubitGate) bool { return plan.GateUsable(c, g) }
 		}
 		gates := tdm.AnalyzeGatesUsable(c, usableGate)
-		cfg := tdm.DefaultConfig(xt)
+		cfg := tdm.DefaultConfig(countPredictions(ctx, xt))
 		cfg.Theta = opts.Theta
 		cfg.SparseQubitZ = opts.SparseQubitZ
 		if opts.TDMMinLossyFraction > 0 {

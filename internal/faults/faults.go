@@ -31,6 +31,7 @@ import (
 	"math"
 
 	"repro/internal/chip"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/xmon"
 )
@@ -322,6 +323,22 @@ func (s *CampaignStats) Add(o CampaignStats) {
 	s.Outliers += o.Outliers
 }
 
+// record folds one finished campaign's stats into r's faults/*
+// counters. They mirror the CampaignStats fields, which are
+// deterministic in (chip, Spec, seed) and invariant in the worker
+// count, so they satisfy obs's counter contract. No-op on a nil r.
+func (s CampaignStats) record(r *obs.Registry) {
+	if r == nil {
+		return
+	}
+	r.Counter("faults/pairs").Add(int64(s.Pairs))
+	r.Counter("faults/skipped_dead").Add(int64(s.SkippedDead))
+	r.Counter("faults/dropouts").Add(int64(s.Dropouts))
+	r.Counter("faults/retried").Add(int64(s.Retried))
+	r.Counter("faults/lost_pairs").Add(int64(s.LostPairs))
+	r.Counter("faults/outliers").Add(int64(s.Outliers))
+}
+
 // Measure runs the fault-injected calibration campaign for one
 // crosstalk channel: the pairwise campaign of xmon.Device.MeasureSeeded
 // restricted to alive qubits, where each attempt may drop out (retried
@@ -350,9 +367,9 @@ func Measure(ctx context.Context, dev *xmon.Device, kind xmon.CrosstalkKind, noi
 	}
 	n := dev.Chip.NumQubits()
 	if plan == nil || !plan.Spec.Enabled() {
-		samples := dev.MeasureSeeded(kind, noiseRel, seed, workers)
+		samples := dev.MeasureSeeded(ctx, kind, noiseRel, seed, workers)
 		stats.Pairs = len(samples)
-		obsRecord(stats)
+		stats.record(obs.FromContext(ctx))
 		return samples, stats, ctx.Err()
 	}
 
@@ -389,7 +406,7 @@ func Measure(ctx context.Context, dev *xmon.Device, kind xmon.CrosstalkKind, noi
 	}
 	results := make([]outcome, len(tasks))
 	spec := plan.Spec
-	rands := parallel.NewRands(parallel.Resolve(workers, len(tasks)))
+	rands := parallel.NewRands(ctx, parallel.Resolve(workers, len(tasks)))
 	err := parallel.ForEachCtxWorker(ctx, workers, len(tasks), func(worker, ti int) error {
 		task := tasks[ti]
 		pairSeed := parallel.TaskSeed(seed, task.p)
@@ -436,6 +453,6 @@ func Measure(ctx context.Context, dev *xmon.Device, kind xmon.CrosstalkKind, noi
 		return nil, stats, fmt.Errorf("faults: calibration campaign lost all %d pairs to dropouts (retry budget %d)",
 			len(tasks), retryBudget)
 	}
-	obsRecord(stats)
+	stats.record(obs.FromContext(ctx))
 	return samples, stats, nil
 }

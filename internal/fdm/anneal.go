@@ -1,9 +1,12 @@
 package fdm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/obs"
 )
 
 // AnnealOptions tune the simulated-annealing refinement of a frequency
@@ -43,7 +46,14 @@ func DefaultAnnealOptions() AnnealOptions {
 // The objective is the plan's leakage-weighted predicted crosstalk. It
 // returns the refined plan (a copy; the input is unmodified) and the
 // objective before and after.
-func Anneal(plan *FrequencyPlan, g *Grouping, xt CrosstalkFunc, opts AnnealOptions) (*FrequencyPlan, float64, float64, error) {
+//
+// The sparse neighbor build records into the registry ctx carries:
+// gauge fdm/anneal_qubits accumulates annealed qubits and
+// fdm/anneal_neighbor_pairs the directed nonzero-crosstalk pairs
+// actually scanned, so pairs / (qubits·(qubits−1)) is the realized
+// density. They are gauges because the density is execution detail
+// that varies with cache hits and rebuild granularity.
+func Anneal(ctx context.Context, plan *FrequencyPlan, g *Grouping, xt CrosstalkFunc, opts AnnealOptions) (*FrequencyPlan, float64, float64, error) {
 	if opts.Steps < 0 {
 		return nil, 0, 0, fmt.Errorf("fdm: negative step count %d", opts.Steps)
 	}
@@ -96,7 +106,10 @@ func Anneal(plan *FrequencyPlan, g *Grouping, xt CrosstalkFunc, opts AnnealOptio
 			}
 			nbrOf[q] = arena[start:len(arena):len(arena)]
 		}
-		annealNeighborStats(len(ids), total)
+		if r := obs.FromContext(ctx); r != nil {
+			r.Gauge("fdm/anneal_qubits").Add(int64(len(ids)))
+			r.Gauge("fdm/anneal_neighbor_pairs").Add(int64(total))
+		}
 	}
 
 	// qubitCost isolates the objective terms touching one qubit so

@@ -1,6 +1,7 @@
 package fdm
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -20,7 +21,7 @@ func annealFixture(t *testing.T) (*Grouping, *FrequencyPlan) {
 
 func TestAnnealPreservesInvariants(t *testing.T) {
 	g, plan := annealFixture(t)
-	refined, _, _, err := Anneal(plan, g, lineXT, DefaultAnnealOptions())
+	refined, _, _, err := Anneal(context.Background(), plan, g, lineXT, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestAnnealPreservesInvariants(t *testing.T) {
 
 func TestAnnealNeverWorsens(t *testing.T) {
 	g, plan := annealFixture(t)
-	_, before, after, err := Anneal(plan, g, lineXT, DefaultAnnealOptions())
+	_, before, after, err := Anneal(context.Background(), plan, g, lineXT, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAnnealImprovesBadStart(t *testing.T) {
 	// everywhere): annealing must improve it substantially.
 	g := LocalClusterGroup(members(16), 4)
 	plan := InLineAllocate(g)
-	_, before, after, err := Anneal(plan, g, lineXT, DefaultAnnealOptions())
+	_, before, after, err := Anneal(context.Background(), plan, g, lineXT, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestAnnealImprovesBadStart(t *testing.T) {
 func TestAnnealInputUnmodified(t *testing.T) {
 	g, plan := annealFixture(t)
 	orig := clonePlan(plan)
-	if _, _, _, err := Anneal(plan, g, lineXT, DefaultAnnealOptions()); err != nil {
+	if _, _, _, err := Anneal(context.Background(), plan, g, lineXT, DefaultAnnealOptions()); err != nil {
 		t.Fatal(err)
 	}
 	for q, f := range orig.Freq {
@@ -76,28 +77,28 @@ func TestAnnealValidation(t *testing.T) {
 	g, plan := annealFixture(t)
 	bad := DefaultAnnealOptions()
 	bad.Steps = -1
-	if _, _, _, err := Anneal(plan, g, lineXT, bad); err == nil {
+	if _, _, _, err := Anneal(context.Background(), plan, g, lineXT, bad); err == nil {
 		t.Error("negative steps accepted")
 	}
 	bad = DefaultAnnealOptions()
 	bad.StartTemp = 0
-	if _, _, _, err := Anneal(plan, g, lineXT, bad); err == nil {
+	if _, _, _, err := Anneal(context.Background(), plan, g, lineXT, bad); err == nil {
 		t.Error("zero temperature accepted")
 	}
 	bad = DefaultAnnealOptions()
 	bad.EndTemp = bad.StartTemp * 10
-	if _, _, _, err := Anneal(plan, g, lineXT, bad); err == nil {
+	if _, _, _, err := Anneal(context.Background(), plan, g, lineXT, bad); err == nil {
 		t.Error("inverted temperatures accepted")
 	}
 }
 
 func TestAnnealDeterministic(t *testing.T) {
 	g, plan := annealFixture(t)
-	a, _, afterA, err := Anneal(plan, g, lineXT, DefaultAnnealOptions())
+	a, _, afterA, err := Anneal(context.Background(), plan, g, lineXT, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, afterB, err := Anneal(plan, g, lineXT, DefaultAnnealOptions())
+	b, _, afterB, err := Anneal(context.Background(), plan, g, lineXT, DefaultAnnealOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestAnnealZeroStepsIsIdentity(t *testing.T) {
 	g, plan := annealFixture(t)
 	opts := DefaultAnnealOptions()
 	opts.Steps = 0
-	refined, before, after, err := Anneal(plan, g, lineXT, opts)
+	refined, before, after, err := Anneal(context.Background(), plan, g, lineXT, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

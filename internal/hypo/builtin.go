@@ -306,7 +306,7 @@ func runTrimRecovery(ctx context.Context, seed int64) (Measurement, error) {
 	var m Measurement
 	c := chip.Square(4, 4)
 	dev := xmon.NewDevice(c, xmon.DefaultParams(), rand.New(rand.NewSource(seed)))
-	clean := dev.MeasureSeeded(xmon.XY, 0.02, seed, 1)
+	clean := dev.MeasureSeeded(ctx, xmon.XY, 0.02, seed, 1)
 
 	spec := faults.Spec{OutlierRate: 0.05}
 	plan, err := faults.New(c, spec, seed)
@@ -383,7 +383,7 @@ func runCacheHitRate(ctx context.Context, seed int64) (Measurement, error) {
 }
 
 // runManifestStrip measures H5: two fully independent runs — fresh
-// designer, fresh registry, process-global observation rerouted — at
+// designer, fresh registry — at
 // identical options must strip to byte-identical manifests even though
 // their CreatedAt, wall times and latency quantiles differ.
 func runManifestStrip(ctx context.Context, seed int64) (Measurement, error) {
@@ -391,11 +391,9 @@ func runManifestStrip(ctx context.Context, seed int64) (Measurement, error) {
 	var blobs [][]byte
 	for run := 0; run < 2; run++ {
 		reg := youtiao.NewObservability()
-		youtiao.Observe(reg)
 		opts := youtiao.Options{Seed: seed, Workers: 1, Obs: reg, Faults: youtiao.UniformFaults(0.02)}
 		designer := youtiao.NewDesigner(builtinChip())
 		res, err := designer.RedesignCtx(ctx, opts)
-		youtiao.Observe(nil)
 		if err != nil {
 			return m, fmt.Errorf("run %d: %w", run, err)
 		}
@@ -587,12 +585,12 @@ func runSparseAnnealEquiv(ctx context.Context, seed int64) (Measurement, error) 
 		}
 		opts := fdm.DefaultAnnealOptions()
 		opts.Seed = seed + int64(i)
-		sparse, sb, sa, err := fdm.Anneal(plan, g, xt, opts)
+		sparse, sb, sa, err := fdm.Anneal(ctx, plan, g, xt, opts)
 		if err != nil {
 			return m, fmt.Errorf("sparse anneal (seed %d): %w", opts.Seed, err)
 		}
 		opts.FullScan = true
-		full, fb, fa, err := fdm.Anneal(plan, g, xt, opts)
+		full, fb, fa, err := fdm.Anneal(ctx, plan, g, xt, opts)
 		if err != nil {
 			return m, fmt.Errorf("full-scan anneal (seed %d): %w", opts.Seed, err)
 		}

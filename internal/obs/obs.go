@@ -9,9 +9,11 @@
 //
 //   - Disabled is free. Every metric type and the Registry itself are
 //     nil-safe: methods on a nil receiver are no-ops that neither
-//     allocate nor synchronize, so hot paths (state-vector kernels,
-//     worker-pool dispatch) instrument unconditionally and pay only a
-//     nil check when observability is off.
+//     allocate nor synchronize, so instrumented code records
+//     unconditionally and pays only a nil check when observability is
+//     off. A build carries its registry in its context (NewContext);
+//     each instrumented call looks it up once with FromContext, and a
+//     context without one yields the nil registry.
 //
 //   - Counters are deterministic, timing is not. Counter values are
 //     pure functions of the work performed — invariant in the worker
@@ -26,6 +28,7 @@
 package obs
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -102,9 +105,9 @@ func (g *Gauge) Load() int64 {
 // no-op, so a single `Options.Obs *obs.Registry` field (nil by default)
 // switches the whole instrumentation layer.
 //
-// Metric lookups take a mutex and are meant for setup-time resolution:
-// resolve `r.Counter("pkg/op")` once and hold the *Counter in the hot
-// path (see internal/parallel's package observer for the pattern).
+// Metric lookups take a mutex: resolve them once per call, never per
+// inner-loop iteration (a hot loop holds the resolved *Counter, as
+// parallel.Rands holds its gauges).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -169,4 +172,25 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// ctxKey is the context key under which NewContext stores a registry.
+type ctxKey struct{}
+
+// NewContext returns a copy of ctx that carries r, the way a build
+// hands its Options.Obs to every instrumented package it calls. A nil r
+// shadows any registry ctx already carries, so a build without one
+// records nothing.
+func NewContext(ctx context.Context, r *Registry) context.Context {
+	if FromContext(ctx) == r {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, r)
+}
+
+// FromContext returns the registry ctx carries, or the nil (disabled)
+// registry when it carries none.
+func FromContext(ctx context.Context) *Registry {
+	r, _ := ctx.Value(ctxKey{}).(*Registry)
+	return r
 }

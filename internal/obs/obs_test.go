@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -194,5 +195,29 @@ func TestSnapshotJSONStable(t *testing.T) {
 	}
 	if string(j1) != string(j2) {
 		t.Fatalf("snapshot JSON not stable:\n%s\n%s", j1, j2)
+	}
+}
+
+// A context carries at most one registry: the innermost NewContext
+// wins, nil shadows an outer registry, and a bare context yields the
+// nil registry.
+func TestContextCarriesRegistry(t *testing.T) {
+	bg := context.Background()
+	if FromContext(bg) != nil {
+		t.Fatal("bare context carries a registry")
+	}
+	if NewContext(bg, nil) != bg {
+		t.Fatal("attaching nil to a bare context wrapped it")
+	}
+	a, b := New(), New()
+	ca := NewContext(bg, a)
+	if FromContext(ca) != a || NewContext(ca, a) != ca {
+		t.Fatal("registry did not round-trip")
+	}
+	if FromContext(NewContext(ca, b)) != b {
+		t.Fatal("inner registry did not win")
+	}
+	if FromContext(NewContext(ca, nil)) != nil {
+		t.Fatal("nil did not shadow the outer registry")
 	}
 }

@@ -10,16 +10,17 @@ import (
 
 // Pool counters must be a pure function of the submitted work: equal
 // for any worker count, with only gauges/histogram timing differing.
+// Only the context-carrying variants record.
 func TestPoolCountersWorkerInvariant(t *testing.T) {
 	run := func(workers int) obs.Snapshot {
 		r := obs.New()
-		Observe(r)
-		defer Observe(nil)
+		ctx := obs.NewContext(context.Background(), r)
 		out := make([]int, 100)
-		ForEach(workers, len(out), func(i int) { out[i] = i })
-		_ = ForEachErr(workers, 40, func(i int) error { return nil })
-		_ = ForEachCtx(context.Background(), workers, 25, func(i int) error { return nil })
+		_ = ForEachCtx(ctx, workers, len(out), func(i int) error { out[i] = i; return nil })
+		_ = ForEachCtxWorker(ctx, workers, 40, func(w, i int) error { return nil })
+		_ = ForEachCtx(ctx, workers, 25, func(i int) error { return nil })
 		ForEachWorker(workers, 10, func(w, i int) {})
+		ForEach(workers, 10, func(i int) {})
 		return r.Snapshot()
 	}
 	s1, s4 := run(1), run(4)
@@ -27,40 +28,37 @@ func TestPoolCountersWorkerInvariant(t *testing.T) {
 		t.Fatalf("stripped pool snapshots differ between Workers=1 and Workers=4:\n%+v\n%+v",
 			s1.StripTimings(), s4.StripTimings())
 	}
-	if got := s1.Counters["parallel/calls"]; got != 4 {
-		t.Fatalf("calls = %d, want 4", got)
+	if got := s1.Counters["parallel/calls"]; got != 3 {
+		t.Fatalf("calls = %d, want 3", got)
 	}
-	if got := s1.Counters["parallel/tasks"]; got != 175 {
-		t.Fatalf("tasks = %d, want 175", got)
+	if got := s1.Counters["parallel/tasks"]; got != 165 {
+		t.Fatalf("tasks = %d, want 165", got)
 	}
 	if s4.Gauges["parallel/max_workers"] != 4 {
 		t.Fatalf("max_workers gauge = %d, want 4", s4.Gauges["parallel/max_workers"])
 	}
-	if h := s4.Histograms["parallel/call_wall"]; h.Count != 4 {
-		t.Fatalf("call_wall count = %d, want 4", h.Count)
+	if h := s4.Histograms["parallel/call_wall"]; h.Count != 3 {
+		t.Fatalf("call_wall count = %d, want 3", h.Count)
 	}
 }
 
 func TestPoolObsBusyRecorded(t *testing.T) {
 	r := obs.New()
-	Observe(r)
-	defer Observe(nil)
-	sink := 0
-	ForEach(4, 64, func(i int) {
+	sink := make([]int, 64)
+	_ = ForEachCtx(obs.NewContext(context.Background(), r), 4, 64, func(i int) error {
 		for k := 0; k < 1000; k++ {
-			sink += k ^ i
+			sink[i] += k ^ i
 		}
+		return nil
 	})
 	if busy := r.Gauge("parallel/worker_busy_ns").Load(); busy <= 0 {
 		t.Fatalf("worker_busy_ns = %d, want > 0", busy)
 	}
-	_ = sink
 }
 
-// With no observer installed, the sequential dispatch path must not
+// With no registry in play, the sequential dispatch path must not
 // allocate — the acceptance gate for disabled-observability hot paths.
 func TestForEachDisabledObsZeroAlloc(t *testing.T) {
-	Observe(nil)
 	out := make([]int, 16)
 	fn := func(i int) { out[i] = i }
 	allocs := testing.AllocsPerRun(200, func() {
@@ -78,16 +76,21 @@ func TestForEachDisabledObsZeroAlloc(t *testing.T) {
 	}
 }
 
-// Enabling and disabling the observer mid-flight must be race-free
-// (atomic pointer swap) and leave later calls unobserved.
+// A call records into the registry its own context carries: a call
+// without one, or with another, leaves the first registry untouched.
 func TestObserveDisableStopsRecording(t *testing.T) {
-	r := obs.New()
-	Observe(r)
-	ForEach(2, 10, func(i int) {})
-	Observe(nil)
+	r, other := obs.New(), obs.New()
+	ctx := obs.NewContext(context.Background(), r)
+	noop := func(i int) error { return nil }
+	_ = ForEachCtx(ctx, 2, 10, noop)
 	before := r.Counter("parallel/calls").Load()
-	ForEach(2, 10, func(i int) {})
+	_ = ForEachCtx(context.Background(), 2, 10, noop)
+	_ = ForEachCtx(obs.NewContext(ctx, nil), 2, 10, noop)
+	_ = ForEachCtx(obs.NewContext(ctx, other), 2, 10, noop)
 	if after := r.Counter("parallel/calls").Load(); after != before {
-		t.Fatalf("calls moved after disable: %d -> %d", before, after)
+		t.Fatalf("calls moved for calls without this registry: %d -> %d", before, after)
+	}
+	if got := other.Counter("parallel/calls").Load(); got != 1 {
+		t.Fatalf("other registry recorded %d calls, want 1", got)
 	}
 }

@@ -25,6 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Workers resolves a worker-count option: any value <= 0 selects
@@ -54,13 +56,10 @@ func ForEach(workers, n int, fn func(i int)) {
 	if w > n {
 		w = n
 	}
-	o, start := obsBegin(n, w)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
-		o.busy(start)
-		o.end(start)
 		return
 	}
 	var next atomic.Int64
@@ -69,10 +68,6 @@ func ForEach(workers, n int, fn func(i int)) {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			if o != nil {
-				ws := time.Now()
-				defer o.busy(ws)
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -83,7 +78,6 @@ func ForEach(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-	o.end(start)
 }
 
 // Resolve returns the worker count ForEach and friends actually use
@@ -115,13 +109,10 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		return
 	}
 	w := Resolve(workers, n)
-	o, start := obsBegin(n, w)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
-		o.busy(start)
-		o.end(start)
 		return
 	}
 	var next atomic.Int64
@@ -130,10 +121,6 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	for g := 0; g < w; g++ {
 		go func(worker int) {
 			defer wg.Done()
-			if o != nil {
-				ws := time.Now()
-				defer o.busy(ws)
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -144,7 +131,6 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 		}(g)
 	}
 	wg.Wait()
-	o.end(start)
 }
 
 // ForEachErrWorker is ForEachWorker for fallible tasks, with the same
@@ -153,14 +139,9 @@ func ForEachErrWorker(workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	errs := make([]error, n)
-	ForEachWorker(workers, n, func(worker, i int) { errs[i] = fn(worker, i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	var first firstErr
+	ForEachWorker(workers, n, func(worker, i int) { first.note(i, fn(worker, i)) })
+	return first.err
 }
 
 // ForEachErr is ForEach for fallible tasks. Every task always runs
@@ -172,14 +153,30 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	errs := make([]error, n)
-	ForEach(workers, n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	var first firstErr
+	ForEach(workers, n, func(i int) { first.note(i, fn(i)) })
+	return first.err
+}
+
+// firstErr keeps the error of the lowest-indexed failing task — the
+// one sequential execution would have surfaced first — without a slot
+// per task.
+type firstErr struct {
+	mu  sync.Mutex
+	i   int
+	err error
+}
+
+// note records task i's result.
+func (f *firstErr) note(i int, err error) {
+	if err == nil {
+		return
 	}
-	return nil
+	f.mu.Lock()
+	if f.err == nil || i < f.i {
+		f.i, f.err = i, err
+	}
+	f.mu.Unlock()
 }
 
 // ForEachCtx is ForEachErr with cooperative cancellation. The context
@@ -195,6 +192,9 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 // Tasks that want finer-grained promptness (long-running fn bodies)
 // should check ctx themselves; ForEachCtx only guarantees promptness
 // at task granularity.
+//
+// The call records its fan-out into the registry ctx carries (see
+// obs.go); ForEach and the other context-free variants record nothing.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -206,56 +206,55 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	if w > n {
 		w = n
 	}
-	o, start := obsBegin(n, w)
-	errs := make([]error, n)
+	r := obs.FromContext(ctx)
+	start := begin(r, n, w)
 	if w <= 1 {
+		var first error // in index order, the first failure is the lowest
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				o.end(start)
+				end(r, start)
 				return err
 			}
-			errs[i] = fn(i)
+			if err := fn(i); first == nil {
+				first = err
+			}
 		}
-		o.busy(start)
-		o.end(start)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		done := ctx.Done()
-		for g := 0; g < w; g++ {
-			go func() {
-				defer wg.Done()
-				if o != nil {
-					ws := time.Now()
-					defer o.busy(ws)
-				}
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-		o.end(start)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+		busy(r, start)
+		end(r, start)
+		return first
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	var first firstErr
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	done := ctx.Done()
+	for g := 0; g < w; g++ {
+		go func() {
+			defer wg.Done()
+			if r != nil {
+				ws := time.Now()
+				defer busy(r, ws)
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				first.note(i, fn(i))
+			}
+		}()
 	}
-	return nil
+	wg.Wait()
+	end(r, start)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return first.err
 }
 
 // ForEachCtxWorker is ForEachCtx that additionally hands fn the id of
@@ -271,56 +270,55 @@ func ForEachCtxWorker(ctx context.Context, workers, n int, fn func(worker, i int
 		return nil
 	}
 	w := Resolve(workers, n)
-	o, start := obsBegin(n, w)
-	errs := make([]error, n)
+	r := obs.FromContext(ctx)
+	start := begin(r, n, w)
 	if w <= 1 {
+		var first error // in index order, the first failure is the lowest
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
-				o.end(start)
+				end(r, start)
 				return err
 			}
-			errs[i] = fn(0, i)
+			if err := fn(0, i); first == nil {
+				first = err
+			}
 		}
-		o.busy(start)
-		o.end(start)
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(w)
-		done := ctx.Done()
-		for g := 0; g < w; g++ {
-			go func(worker int) {
-				defer wg.Done()
-				if o != nil {
-					ws := time.Now()
-					defer o.busy(ws)
-				}
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(worker, i)
-				}
-			}(g)
-		}
-		wg.Wait()
-		o.end(start)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+		busy(r, start)
+		end(r, start)
+		return first
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	var first firstErr
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	done := ctx.Done()
+	for g := 0; g < w; g++ {
+		go func(worker int) {
+			defer wg.Done()
+			if r != nil {
+				ws := time.Now()
+				defer busy(r, ws)
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				first.note(i, fn(worker, i))
+			}
+		}(g)
 	}
-	return nil
+	wg.Wait()
+	end(r, start)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return first.err
 }
 
 // golden is the 64-bit golden-ratio increment of the SplitMix64

@@ -1,6 +1,11 @@
 package parallel
 
-import "math/rand"
+import (
+	"context"
+	"math/rand"
+
+	"repro/internal/obs"
+)
 
 // Rands is a pool of per-worker reseedable RNGs for ForEachWorker-style
 // loops. Seeding a math/rand source runs 1,841 modular multiplications
@@ -26,20 +31,35 @@ import "math/rand"
 type Rands struct {
 	srcs  []seededSource
 	rands []*rand.Rand
+	// reseeds is the parallel/rng_scratch_reuse gauge: task reseeds
+	// served by the pool, each one TaskRand allocation and seeding loop
+	// avoided. Nil when the pool's context carries no registry.
+	reseeds *obs.Gauge
 }
 
 // NewRands builds a pool of w generators, one per worker id in [0, w).
 // Size it with Resolve(workers, n) so every id that can appear is
-// covered.
-func NewRands(w int) *Rands {
-	rs := &Rands{srcs: make([]seededSource, w), rands: make([]*rand.Rand, w)}
+// covered. The pool resolves its gauges once, from the registry ctx
+// carries: parallel/rng_pooled counts generators allocated into pools,
+// parallel/rng_scratch_reuse the reseeds they serve and
+// parallel/rng_materialized the streams that drew past the seed-only
+// window and so paid a full math/rand seeding after all. They are
+// gauges, not counters: the first two scale with the resolved worker
+// count, which the deterministic counter section must not see.
+func NewRands(ctx context.Context, w int) *Rands {
+	r := obs.FromContext(ctx)
+	rs := &Rands{
+		srcs:    make([]seededSource, w),
+		rands:   make([]*rand.Rand, w),
+		reseeds: r.Gauge("parallel/rng_scratch_reuse"),
+	}
+	materialized := r.Gauge("parallel/rng_materialized")
 	for i := range rs.rands {
 		rs.srcs[i].Seed(0)
+		rs.srcs[i].materialized = materialized
 		rs.rands[i] = rand.New(&rs.srcs[i])
 	}
-	if o := observer.Load(); o != nil {
-		o.rngPooled.Add(int64(w))
-	}
+	r.Gauge("parallel/rng_pooled").Add(int64(w))
 	return rs
 }
 
@@ -55,9 +75,7 @@ func (rs *Rands) Task(worker int, master int64, task uint64) *rand.Rand {
 // split) and returns it, for callers that pre-split their streams.
 func (rs *Rands) Seeded(worker int, seed int64) *rand.Rand {
 	rs.srcs[worker].Seed(seed)
-	if o := observer.Load(); o != nil {
-		o.rngReseeds.Add(1)
-	}
+	rs.reseeds.Add(1)
 	return rs.rands[worker]
 }
 
@@ -107,6 +125,9 @@ type seededSource struct {
 	x0    uint64 // normalised seed, in [1, 2³¹−2]
 	drawn int    // draws taken; past rngTap once full serves the stream
 	full  rand.Source64
+	// materialized is the owning pool's parallel/rng_materialized
+	// gauge (nil when unobserved).
+	materialized *obs.Gauge
 }
 
 // Seed normalises seed exactly as math/rand's Seed does and rewinds the
@@ -161,7 +182,5 @@ func (s *seededSource) materialize() {
 		s.full.Uint64()
 	}
 	s.drawn++
-	if o := observer.Load(); o != nil {
-		o.rngMaterialized.Add(1)
-	}
+	s.materialized.Add(1)
 }

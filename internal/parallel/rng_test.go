@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,7 +99,7 @@ func TestSeededSourceReseed(t *testing.T) {
 
 // A Rands slot yields TaskRand's stream, task after task.
 func TestRandsTaskMatchesTaskRand(t *testing.T) {
-	rs := NewRands(2)
+	rs := NewRands(context.Background(), 2)
 	for task := uint64(0); task < 50; task++ {
 		w := int(task % 2)
 		compareDraws(t, rs.Task(w, 5, task), TaskRand(5, task), 20+int(task)*15, task*0x9e3779b97f4a7c15)
@@ -109,9 +110,7 @@ func TestRandsTaskMatchesTaskRand(t *testing.T) {
 // the gauge counts exactly those streams.
 func TestRandsMaterializedGauge(t *testing.T) {
 	r := obs.New()
-	Observe(r)
-	defer Observe(nil)
-	rs := NewRands(1)
+	rs := NewRands(obs.NewContext(context.Background(), r), 1)
 	for task := uint64(0); task < 10; task++ {
 		rng := rs.Task(0, 1, task)
 		for k := 0; k < rngTap; k++ {
@@ -136,8 +135,7 @@ func TestRandsMaterializedGauge(t *testing.T) {
 // Reseeding and drawing inside the window allocates nothing, and after
 // a slot's first materialisation neither does drawing past it.
 func TestRandsZeroAllocs(t *testing.T) {
-	Observe(nil)
-	rs := NewRands(1)
+	rs := NewRands(context.Background(), 1)
 	var task uint64
 	run := func(draws int) float64 {
 		return testing.AllocsPerRun(50, func() {

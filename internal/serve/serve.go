@@ -48,6 +48,10 @@ const (
 	gQueued     = "serve/queued"
 )
 
+// DefaultMaxQubits is the default Config.MaxQubits: the largest chip a
+// design request may ask for.
+const DefaultMaxQubits = 512
+
 // ClientIDHeader names the request header carrying the caller's tenant
 // id. Load harnesses (cmd/youtiao-load) set it so per-tenant fairness —
 // who got served, who got shed — is observable server-side.
@@ -96,8 +100,8 @@ type Config struct {
 	// never extend it.
 	RequestTimeout time.Duration
 	// MaxQubits rejects chips larger than this with 400 (default
-	// 512) — admission control against asymptotically expensive work,
-	// not a pipeline limit.
+	// DefaultMaxQubits) — admission control against asymptotically
+	// expensive work, not a pipeline limit.
 	MaxQubits int
 	// CacheBytes bounds the shared artifact cache (default 256 MiB;
 	// negative = unbounded). Ignored when Cache is set.
@@ -137,7 +141,7 @@ func (c Config) withDefaults() Config {
 		c.RequestTimeout = 120 * time.Second
 	}
 	if c.MaxQubits <= 0 {
-		c.MaxQubits = 512
+		c.MaxQubits = DefaultMaxQubits
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 256 << 20
@@ -173,6 +177,34 @@ type DesignRequest struct {
 	// TimeoutMs shortens this request's design deadline below the
 	// server's RequestTimeout.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
+}
+
+// Validate checks the request's chip size against [2, maxQubits].
+func (r DesignRequest) Validate(maxQubits int) error {
+	if r.Qubits < 2 || r.Qubits > maxQubits {
+		return fmt.Errorf("qubits must be in [2, %d], got %d", maxQubits, r.Qubits)
+	}
+	return nil
+}
+
+// Options maps the request onto the design options it asks for — the
+// one request→Options mapping, shared by the server and every
+// in-process driver that replays requests. The caller adds the
+// execution knobs (Obs, Workers), which never change the design.
+func (r DesignRequest) Options() youtiao.Options {
+	opts := youtiao.Options{
+		Seed:        r.Seed,
+		FDMCapacity: r.FDMCapacity,
+		AnnealSteps: r.AnnealSteps,
+		RetryBudget: r.RetryBudget,
+	}
+	if r.Theta != nil {
+		opts.Theta, opts.HasTheta = *r.Theta, true
+	}
+	if r.DefectRate > 0 {
+		opts.Faults = youtiao.UniformFaults(r.DefectRate)
+	}
+	return opts
 }
 
 // DesignResponse is the /v1/design response body.
@@ -246,11 +278,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: open cache: %w", err)
 		}
 	}
-	// One registry observes everything: the shared store's cache
-	// instrumentation and (via Options.Obs on every request) per-build
-	// stage metrics. Per-request registries would race — the store
-	// holds a single observer, swapped on each build.
-	cache.Observe(reg)
+	// Every request's build carries reg as its Options.Obs, so the
+	// shared store and every subsystem record into it. Pre-register
+	// the store's metrics so /metrics has a stable key set from the
+	// first scrape.
+	stage.RegisterMetrics(reg)
 	for _, name := range []string{cRequests, cOK, cBadRequest, cShed, cTimeouts, cFailed, cPanics} {
 		reg.Counter(name)
 	}
@@ -454,11 +486,10 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	if req.Qubits < 2 || req.Qubits > s.cfg.MaxQubits {
+	if err := req.Validate(s.cfg.MaxQubits); err != nil {
 		s.reg.Counter(cBadRequest).Add(1)
 		s.tallyClient(client, func(t *ClientTally) { t.Errors++ })
-		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: fmt.Sprintf("qubits must be in [2, %d], got %d", s.cfg.MaxQubits, req.Qubits)})
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	ch, err := youtiao.NewChip(req.Topology, req.Qubits)
@@ -488,19 +519,8 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.leave()
 
-	opts := youtiao.Options{
-		Seed:        req.Seed,
-		FDMCapacity: req.FDMCapacity,
-		AnnealSteps: req.AnnealSteps,
-		RetryBudget: req.RetryBudget,
-		Obs:         s.reg,
-	}
-	if req.Theta != nil {
-		opts.Theta, opts.HasTheta = *req.Theta, true
-	}
-	if req.DefectRate > 0 {
-		opts.Faults = youtiao.UniformFaults(req.DefectRate)
-	}
+	opts := req.Options()
+	opts.Obs = s.reg
 
 	timeout := s.cfg.RequestTimeout
 	if req.TimeoutMs > 0 {

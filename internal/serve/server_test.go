@@ -85,6 +85,14 @@ func TestDesignHappyPath(t *testing.T) {
 	if resp.Stages == nil || len(resp.Stages.Stages) == 0 {
 		t.Fatal("response missing stage report")
 	}
+	// The request's build recorded its subsystem counters into the
+	// registry behind /metrics.
+	counters := srv.Registry().Snapshot().Counters
+	for _, name := range []string{"faults/pairs", "crosstalk/fits", "parallel/calls", "crosstalk/predictions"} {
+		if counters[name] <= 0 {
+			t.Errorf("/metrics %s = %d after a cold design, want > 0", name, counters[name])
+		}
+	}
 
 	// A second identical request is served from cache: zero new misses.
 	before := srv.Cache().StageReport()

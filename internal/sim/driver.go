@@ -17,10 +17,10 @@ import (
 
 // LibraryDriver runs request events in-process through a shared design
 // cache — the same experiments.DesignCache machinery youtiao-serve
-// fronts, minus HTTP. Options are materialized from the event exactly
-// as the server materializes them from a request body, so a trace run
-// against the library and against a live server computes identical
-// designs.
+// fronts, minus HTTP. It builds the request body ServerDriver would
+// send and validates and maps it with the server's own
+// DesignRequest.Validate and Options, so a trace run against the
+// library and against a live server computes identical designs.
 type LibraryDriver struct {
 	cache *youtiao.SharedCache
 	// designWorkers bounds each design's internal worker pool (the
@@ -48,24 +48,16 @@ func NewLibraryDriver(cache *youtiao.SharedCache, designWorkers int) *LibraryDri
 
 // Design implements Driver.
 func (d *LibraryDriver) Design(ctx context.Context, ev Event) Outcome {
-	ch, err := d.chip(ev.Topology, ev.Qubits)
+	req := requestOf(ev)
+	if err := req.Validate(serve.DefaultMaxQubits); err != nil {
+		return Outcome{Class: OutcomeBadRequest, Detail: err.Error()}
+	}
+	ch, err := d.chip(req.Topology, req.Qubits)
 	if err != nil {
 		return Outcome{Class: OutcomeBadRequest, Detail: err.Error()}
 	}
-	// Mirror serve.handleDesign's request -> Options mapping so both
-	// targets compute identical designs from one trace.
-	opts := youtiao.Options{
-		Seed:        ev.Seed,
-		FDMCapacity: ev.FDMCapacity,
-		AnnealSteps: ev.AnnealSteps,
-		Workers:     d.designWorkers,
-	}
-	if ev.Theta != nil {
-		opts.Theta, opts.HasTheta = *ev.Theta, true
-	}
-	if ev.DefectRate > 0 {
-		opts.Faults = youtiao.UniformFaults(ev.DefectRate)
-	}
+	opts := req.Options()
+	opts.Workers = d.designWorkers
 	if _, err := d.cache.Designer(ch).RedesignCtx(ctx, opts); err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return Outcome{Class: OutcomeTimeout, Detail: err.Error()}
@@ -73,6 +65,20 @@ func (d *LibraryDriver) Design(ctx context.Context, ev Event) Outcome {
 		return Outcome{Class: OutcomeFailed, Detail: err.Error()}
 	}
 	return Outcome{Class: OutcomeOK}
+}
+
+// requestOf is the /v1/design request body a request event stands
+// for.
+func requestOf(ev Event) serve.DesignRequest {
+	return serve.DesignRequest{
+		Topology:    ev.Topology,
+		Qubits:      ev.Qubits,
+		Seed:        ev.Seed,
+		Theta:       ev.Theta,
+		FDMCapacity: ev.FDMCapacity,
+		AnnealSteps: ev.AnnealSteps,
+		DefectRate:  ev.DefectRate,
+	}
 }
 
 // chip returns the shared prototype chip for a shape. Prototypes are
@@ -132,16 +138,8 @@ func NewServerDriver(baseURL string, requestTimeout time.Duration) *ServerDriver
 
 // Design implements Driver.
 func (d *ServerDriver) Design(ctx context.Context, ev Event) Outcome {
-	body := serve.DesignRequest{
-		Topology:    ev.Topology,
-		Qubits:      ev.Qubits,
-		Seed:        ev.Seed,
-		Theta:       ev.Theta,
-		FDMCapacity: ev.FDMCapacity,
-		AnnealSteps: ev.AnnealSteps,
-		DefectRate:  ev.DefectRate,
-		TimeoutMs:   d.timeoutMs,
-	}
+	body := requestOf(ev)
+	body.TimeoutMs = d.timeoutMs
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return Outcome{Class: OutcomeBadRequest, Detail: err.Error()}

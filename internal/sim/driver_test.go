@@ -140,3 +140,15 @@ func TestLibraryDriverMirrorsServe(t *testing.T) {
 		}
 	}
 }
+
+// The library driver validates an event as the server validates the
+// request body it stands for: out-of-range chips are bad requests.
+func TestLibraryDriverValidatesLikeServe(t *testing.T) {
+	lib := NewLibraryDriver(youtiao.NewSharedCache(youtiao.CacheConfig{}), 1)
+	for _, q := range []int{1, serve.DefaultMaxQubits + 1} {
+		out := lib.Design(context.Background(), Event{Kind: KindRequest, Topology: "square", Qubits: q})
+		if out.Class != OutcomeBadRequest {
+			t.Errorf("qubits %d: outcome %q (%s), want %q", q, out.Class, out.Detail, OutcomeBadRequest)
+		}
+	}
+}

@@ -154,11 +154,6 @@ type Store struct {
 	diskMisses   atomic.Int64
 	decodeErrors atomic.Int64
 
-	// obsv is the optional observability registry. Swapped atomically
-	// so Observe is safe concurrently with in-flight Do calls; a nil
-	// registry (the default) disables emission at zero cost.
-	obsv atomic.Pointer[obs.Registry]
-
 	// wrap is the optional ExecWrapper (chaos injection).
 	wrap atomic.Pointer[ExecWrapper]
 }
@@ -217,33 +212,33 @@ func (s *Store) Wrap(w ExecWrapper) {
 	s.wrap.Store(&w)
 }
 
-// Observe routes the store's cache instrumentation into r: the
+// RegisterMetrics pre-registers the store's metrics in r at 0, so a
+// snapshot carries the full set whichever events occurred: the
 // "stage/hits", "stage/misses", "stage/errors", "stage/panics",
 // "stage/evictions" and "stage/singleflight_waits" counters, the
-// "stage/cache_bytes" and "stage/cache_entries" gauges and a per-stage
-// execution-latency histogram ("stage/<name>"). Pass nil to disable.
-// Counters except singleflight_waits and evictions are deterministic
-// for sequential pipelines; singleflight_waits counts
-// scheduling-dependent concurrent-duplicate suppression, and evictions
-// depend on artifact arrival order under concurrency.
-func (s *Store) Observe(r *obs.Registry) {
-	// Pre-register the counters so every snapshot carries the full
-	// set at 0 — the schema does not depend on which events occurred.
-	r.Counter("stage/hits")
-	r.Counter("stage/misses")
-	r.Counter("stage/errors")
-	r.Counter("stage/panics")
-	r.Counter("stage/evictions")
-	r.Counter("stage/singleflight_waits")
-	// Warm-tier (Backend) counters. Pre-registered even for a
-	// memory-only store so the snapshot schema never depends on the
-	// persistence configuration — a stripped manifest of a disk-backed
-	// run stays byte-comparable to the in-memory run.
-	r.Counter("stage/disk_hits")
-	r.Counter("stage/disk_misses")
-	r.Counter("stage/decode_errors")
-	s.obsv.Store(r)
-	s.publishGauges(r)
+// warm-tier counters (registered even for a memory-only store, so a
+// stripped manifest of a disk-backed run stays byte-comparable to the
+// in-memory run) and the occupancy gauges. Do records into the
+// registry its context carries, plus a per-stage execution-latency
+// histogram ("stage/<name>"). Counters except singleflight_waits and
+// evictions are deterministic for sequential pipelines;
+// singleflight_waits counts scheduling-dependent concurrent-duplicate
+// suppression, and evictions depend on artifact arrival order under
+// concurrency. No-op on a nil r.
+func RegisterMetrics(r *obs.Registry) {
+	for _, name := range []string{
+		"stage/hits", "stage/misses", "stage/errors", "stage/panics",
+		"stage/evictions", "stage/singleflight_waits",
+		"stage/disk_hits", "stage/disk_misses", "stage/decode_errors",
+	} {
+		r.Counter(name)
+	}
+	for _, name := range []string{
+		"stage/cache_bytes", "stage/cache_entries",
+		"stage/disk_bytes", "stage/disk_entries", "stage/gc_evictions",
+	} {
+		r.Gauge(name)
+	}
 }
 
 // publishGauges refreshes the store's occupancy gauges.
@@ -339,9 +334,12 @@ func (s *Store) evictLocked(sh *shard) int {
 // cache. workers is recorded as the stage's worker budget (purely
 // instrumentation — it never affects the artifact). Errors are
 // returned to every concurrent waiter but never cached; a panicking fn
-// is recovered into a *PanicError with the same contract.
+// is recovered into a *PanicError with the same contract. Cache
+// instrumentation goes to the registry ctx carries (see
+// RegisterMetrics); fn runs under ctx, so what it records lands there
+// too.
 func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn func(context.Context) (any, error)) (any, bool, error) {
-	r := s.obsv.Load()
+	r := obs.FromContext(ctx)
 	s.statsMu.Lock()
 	s.statLocked(name).Runs++
 	s.statsMu.Unlock()
@@ -381,9 +379,8 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	// memory tier like an executed one (it may be evicted and recalled
 	// again later).
 	if v, ok := s.diskLoad(r, name, key); ok {
-		e.val = v
+		e.val, e.size = v, s.sizeOf(v)
 		close(e.ready)
-		e.size = s.sizeOf(v)
 		sh.mu.Lock()
 		e.cached = true
 		sh.pushFront(e)
@@ -409,6 +406,12 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 	start := time.Now()
 	v, err := runProtected(ctx, name, key, fn)
 	dur := time.Since(start)
+	if err == nil {
+		// Size the artifact before waiters can see it: a waiter may
+		// fill the artifact's lazy caches (tdm.Grouping's index), and a
+		// size walk running concurrently would race with it.
+		e.size = s.sizeOf(v)
+	}
 	e.val, e.err = v, err
 	close(e.ready)
 
@@ -423,7 +426,6 @@ func (s *Store) Do(ctx context.Context, name string, key Key, workers int, fn fu
 		return nil, false, err
 	}
 
-	e.size = s.sizeOf(v)
 	var evicted int
 	sh.mu.Lock()
 	e.cached = true

@@ -110,14 +110,14 @@ func TestBoundedStoreOversizedArtifact(t *testing.T) {
 	}
 }
 
-// TestBoundedStoreObsCounters routes a bounded store into a registry
-// and checks the eviction counter and occupancy gauges are published.
+// TestBoundedStoreObsCounters runs a bounded store under a context
+// carrying a registry and checks the eviction counter and occupancy
+// gauges are published.
 func TestBoundedStoreObsCounters(t *testing.T) {
 	per := EstimateSize(payload(128))
 	s := NewStoreWith(Config{MaxBytes: 2 * per, Shards: 1})
 	reg := obs.New()
-	s.Observe(reg)
-	ctx := context.Background()
+	ctx := obs.NewContext(context.Background(), reg)
 	for i := 0; i < 5; i++ {
 		if _, _, err := s.Do(ctx, "produce", keyN(i), 1, func(context.Context) (any, error) {
 			return payload(128), nil
@@ -199,8 +199,7 @@ func waitForWaiters(t *testing.T, reg *obs.Registry, want int64) {
 func TestStorePanicReachesAllWaiters(t *testing.T) {
 	s := NewStore()
 	reg := obs.New()
-	s.Observe(reg)
-	ctx := context.Background()
+	ctx := obs.NewContext(context.Background(), reg)
 	k := keyN(0)
 
 	release := make(chan struct{})
@@ -268,8 +267,7 @@ func TestStorePanicReachesAllWaiters(t *testing.T) {
 func TestStoreFailurePropagatesToAllWaiters(t *testing.T) {
 	s := NewStore()
 	reg := obs.New()
-	s.Observe(reg)
-	ctx := context.Background()
+	ctx := obs.NewContext(context.Background(), reg)
 	k := keyN(1)
 	sentinel := errors.New("transient stage failure")
 
@@ -404,5 +402,78 @@ func TestStoreWrapIntercepts(t *testing.T) {
 	})
 	if err != nil || v != "real" {
 		t.Fatalf("after unwrap: v=%v err=%v", v, err)
+	}
+}
+
+// RegisterMetrics gives a registry the store's full key set at 0, and
+// Do records into the registry of its own context only: two callers
+// sharing one store never see each other's misses and hits.
+func TestStoreRecordsIntoContextRegistry(t *testing.T) {
+	RegisterMetrics(nil) // no-op on the disabled registry
+	a, b := obs.New(), obs.New()
+	RegisterMetrics(a)
+	snap := a.Snapshot()
+	if len(snap.Counters) != 9 || len(snap.Gauges) != 5 {
+		t.Fatalf("RegisterMetrics registered %d counters and %d gauges, want 9 and 5", len(snap.Counters), len(snap.Gauges))
+	}
+	s := NewStore()
+	ca := obs.NewContext(context.Background(), a)
+	cb := obs.NewContext(context.Background(), b)
+	produce := func(context.Context) (any, error) { return 1, nil }
+	for _, k := range []Key{keyN(0), keyN(1)} {
+		if _, _, err := s.Do(ca, "produce", k, 1, produce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := s.Do(cb, "produce", keyN(0), 1, produce); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Do(context.Background(), "produce", keyN(2), 1, produce); err != nil {
+		t.Fatal(err)
+	}
+	ac, bc := a.Snapshot().Counters, b.Snapshot().Counters
+	if ac["stage/misses"] != 2 || ac["stage/hits"] != 0 || bc["stage/misses"] != 0 || bc["stage/hits"] != 1 {
+		t.Fatalf("a: %d misses %d hits, b: %d misses %d hits; want 2/0 and 0/1",
+			ac["stage/misses"], ac["stage/hits"], bc["stage/misses"], bc["stage/hits"])
+	}
+}
+
+// TestStoreSizesBeforePublishing: the store finishes reading an
+// artifact (its size walk) before any waiter receives it, because
+// waiters may fill lazy caches inside it. SizeOf gives a joined waiter
+// 50ms to come back with the value; it must not.
+func TestStoreSizesBeforePublishing(t *testing.T) {
+	var received atomic.Bool
+	var sawWaiter bool
+	s := NewStoreWith(Config{SizeOf: func(any) int64 {
+		for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline) && !received.Load(); {
+			time.Sleep(time.Millisecond)
+		}
+		sawWaiter = received.Load()
+		return 8
+	}})
+	reg := obs.New()
+	ctx := obs.NewContext(context.Background(), reg)
+	k := keyN(0)
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		<-started
+		_, _, err := s.Do(ctx, "p", k, 1, func(context.Context) (any, error) { return 2, nil })
+		received.Store(true)
+		done <- err
+	}()
+	if _, _, err := s.Do(ctx, "p", k, 1, func(context.Context) (any, error) {
+		close(started)
+		waitForWaiters(t, reg, 1)
+		return 1, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if sawWaiter {
+		t.Fatal("a waiter received the artifact while the store was still sizing it")
 	}
 }

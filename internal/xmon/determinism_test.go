@@ -1,6 +1,7 @@
 package xmon
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestMeasureSeededWorkerCountInvariant(t *testing.T) {
 	testkit.SeedMatrix(t, []int64{1, 2, 3}, func(t *testing.T, seed int64) {
 		for _, kind := range []CrosstalkKind{XY, ZZ} {
 			testkit.WorkerInvariant(t, 1, []int{4}, func(workers int) []Sample {
-				return d.MeasureSeeded(kind, 0.05, seed, workers)
+				return d.MeasureSeeded(context.Background(), kind, 0.05, seed, workers)
 			})
 		}
 	})
@@ -31,7 +32,7 @@ func TestMeasureSeededWorkerCountInvariant(t *testing.T) {
 func TestMeasureSeededPairOrderMatchesMeasure(t *testing.T) {
 	d := NewDevice(chip.Square(4, 4), DefaultParams(), rand.New(rand.NewSource(2)))
 	ref := d.Measure(XY, 0, rand.New(rand.NewSource(9)))
-	got := d.MeasureSeeded(XY, 0, 9, 4)
+	got := d.MeasureSeeded(context.Background(), XY, 0, 9, 4)
 	if len(got) != len(ref) {
 		t.Fatalf("%d vs %d samples", len(got), len(ref))
 	}
@@ -52,8 +53,8 @@ func TestMeasureSeededPairOrderMatchesMeasure(t *testing.T) {
 // a constant).
 func TestMeasureSeededSeedSensitivity(t *testing.T) {
 	d := NewDevice(chip.Square(4, 4), DefaultParams(), rand.New(rand.NewSource(3)))
-	a := d.MeasureSeeded(XY, 0.05, 1, 4)
-	b := d.MeasureSeeded(XY, 0.05, 2, 4)
+	a := d.MeasureSeeded(context.Background(), XY, 0.05, 1, 4)
+	b := d.MeasureSeeded(context.Background(), XY, 0.05, 2, 4)
 	same := 0
 	for p := range a {
 		if a[p].Value == b[p].Value {
@@ -71,11 +72,10 @@ func TestMeasureSeededSeedSensitivity(t *testing.T) {
 // seed-only window.
 func TestMeasureSeededMatchesTaskRand(t *testing.T) {
 	r := obs.New()
-	parallel.Observe(r)
-	defer parallel.Observe(nil)
+	ctx := obs.NewContext(context.Background(), r)
 	d := NewDevice(chip.Square(6, 6), DefaultParams(), rand.New(rand.NewSource(4)))
 	for _, workers := range []int{1, 3} {
-		got := d.MeasureSeeded(XY, 0.05, 21, workers)
+		got := d.MeasureSeeded(ctx, XY, 0.05, 21, workers)
 		for p, s := range got {
 			want := d.MeasurePair(XY, s.I, s.J, 0.05, parallel.TaskRand(21, uint64(p)))
 			if s != want {

@@ -15,6 +15,7 @@
 package xmon
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -231,8 +232,10 @@ func (d *Device) Measure(kind CrosstalkKind, noiseRel float64, rng *rand.Rand) [
 // its pair index, so the campaign can fan out over any number of
 // workers and still return bit-identical samples (see
 // internal/parallel). workers <= 0 selects runtime.NumCPU(), 1 runs
-// sequentially.
-func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64, workers int) []Sample {
+// sequentially. The campaign records into the registry ctx carries and
+// stops handing out pairs once ctx is done, so a caller whose ctx can
+// be cancelled checks ctx.Err() before trusting the samples.
+func (d *Device) MeasureSeeded(ctx context.Context, kind CrosstalkKind, noiseRel float64, seed int64, workers int) []Sample {
 	n := d.Chip.NumQubits()
 	samples := make([]Sample, n*(n-1)/2)
 	p := 0
@@ -242,8 +245,10 @@ func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64,
 			p++
 		}
 	}
-	rands := parallel.NewRands(parallel.Resolve(workers, len(samples)))
-	parallel.ForEachWorker(workers, len(samples), func(worker, p int) {
+	rands := parallel.NewRands(ctx, parallel.Resolve(workers, len(samples)))
+	// The tasks never fail, so the only error is ctx's own, which the
+	// caller reads from ctx.
+	_ = parallel.ForEachCtxWorker(ctx, workers, len(samples), func(worker, p int) error {
 		s := &samples[p]
 		rng := rands.Task(worker, seed, uint64(p))
 		v := d.Crosstalk(kind, s.I, s.J)
@@ -252,6 +257,7 @@ func (d *Device) MeasureSeeded(kind CrosstalkKind, noiseRel float64, seed int64,
 			v = 0
 		}
 		s.Value = v
+		return nil
 	})
 	return samples
 }

@@ -12,8 +12,6 @@ import (
 func buildManifest(t *testing.T, createdAt string, workers int) *Manifest {
 	t.Helper()
 	reg := NewObservability()
-	Observe(reg)
-	defer Observe(nil)
 	opts := Options{Seed: 5, Workers: workers, Obs: reg}
 	d := NewDesigner(NewSquareChip(4, 4))
 	res, err := d.Redesign(opts)

@@ -110,6 +110,10 @@ assert counters["serve/ok"] >= ok + 1, counters
 assert counters["serve/shed"] == shed, counters
 assert counters["serve/bad_request"] == 1, counters
 assert counters["stage/misses"] > 0, counters
+# The cold designs' builds carry the server registry (Options.Obs), so
+# their subsystem counters reach /metrics too.
+assert counters["faults/pairs"] > 0, counters
+assert counters["crosstalk/fits"] > 0, counters
 EOF
 
 echo "serve-smoke: SIGTERM drain"

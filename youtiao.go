@@ -207,13 +207,14 @@ func DesignDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*Desi
 }
 
 // ObsRegistry collects metrics, latency histograms and design spans.
-// Create one with NewObservability, set it as Options.Obs to capture a
-// build's stage instrumentation, and pass it to Observe to also route
-// the process-global subsystem counters (worker pool, calibration
-// faults, model fit, simulators) into it. Registry.Snapshot() returns
-// a stable-schema ObsSnapshot; Registry.Handler() serves it over HTTP
-// (mount it at /debug/youtiao). A nil registry disables everything at
-// zero cost.
+// Create one with NewObservability and set it as Options.Obs: that
+// build's stage cache counters, stage latencies, span tree and
+// subsystem counters (worker pool, calibration campaign, model fit,
+// crosstalk predictions) land in it, and in no other registry — builds
+// sharing a SharedCache may each carry their own. Registry.Snapshot()
+// returns a stable-schema ObsSnapshot; Registry.Handler() serves it
+// over HTTP (mount it at /debug/youtiao). A nil registry disables
+// everything at zero cost.
 type ObsRegistry = obs.Registry
 
 // ObsSnapshot is a point-in-time export of an ObsRegistry: counters,
@@ -225,13 +226,6 @@ type ObsSnapshot = obs.Snapshot
 
 // NewObservability returns an empty metrics registry.
 func NewObservability() *ObsRegistry { return obs.New() }
-
-// Observe installs r as the process-global observer of the pipeline's
-// subsystems (worker pool, calibration fault accounting, crosstalk
-// fit, quantum simulators). Pass nil to uninstall. Per-build stage
-// metrics flow through Options.Obs instead, so concurrent builds can
-// keep separate registries while sharing the process-global one.
-func Observe(r *ObsRegistry) { experiments.Observe(r) }
 
 // StageReport is the per-stage instrumentation snapshot of a Designer:
 // runs, cache hits/misses, worker budget and cumulative wall time per
@@ -398,12 +392,6 @@ func (c *SharedCache) Designer(ch *Chip) *Designer {
 // StageReport snapshots the per-stage instrumentation of the shared
 // store across every designer and request.
 func (c *SharedCache) StageReport() StageReport { return c.dc.Report() }
-
-// Observe routes the shared store's cache instrumentation (hit, miss,
-// eviction and panic counters, occupancy gauges, per-stage latency
-// histograms) into r. Pass the same registry as Options.Obs on requests
-// so per-build and store-wide instrumentation land in one place.
-func (c *SharedCache) Observe(r *ObsRegistry) { c.dc.Store().Observe(r) }
 
 // Stats reports the shared store's occupancy, both tiers.
 func (c *SharedCache) Stats() CacheStats {
