@@ -26,7 +26,7 @@ COVER_FLOORS ?= internal/stage:90 internal/stage/cas:85 internal/obs:85 internal
 SIMSCALE ?= 4
 SIMDURATION ?= 300s
 
-.PHONY: build vet fmt-check lint test race race-faults fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full clean
+.PHONY: build vet fmt-check lint test race race-faults design-golden fuzz bench bench-smoke bench-profile faults cover verify serve-smoke workload-smoke sim-full experiments experiments-smoke experiments-full clean
 
 # Generated run products (bench logs, coverage profiles, manifests) all
 # land under $(OUT), which is ignored wholesale; the committed
@@ -66,6 +66,15 @@ race:
 # their contexts.
 race-faults:
 	$(GO) test -race -count=1 -run 'Fault|Defect|Ctx|Cancel|Deadline|Obs' ./internal/parallel ./internal/faults ./internal/crosstalk ./internal/experiments
+
+# The same-designs gate: design the benchmark's cold rungs (perfbench
+# --record: every rung at each recorded seed, Workers 1 and 2) and
+# compare the result byte for byte with the committed
+# perfbench/expected/cold.json. A change that claims to keep the
+# designs passes it without refreshing that file.
+design-golden: | $(OUT)
+	bash perfbench/run.sh --record $(OUT)/cold.json
+	cmp $(OUT)/cold.json perfbench/expected/cold.json
 
 fuzz:
 	$(GO) test ./internal/fdm -run NONE -fuzz FuzzGroupAllocate -fuzztime $(FUZZTIME)

@@ -41,7 +41,6 @@ import (
 	"repro/internal/surface"
 	"repro/internal/tdm"
 	"repro/internal/xmon"
-	"repro/internal/yield"
 )
 
 func BenchmarkTable1(b *testing.B) {
@@ -657,24 +656,6 @@ func BenchmarkPredictorMatrix(b *testing.B) {
 		p := m.On(c)
 		mat := p.Matrix()
 		b.ReportMetric(mat[0][1], "xt-0-1")
-	}
-}
-
-// BenchmarkYield runs the fabrication-disorder yield study on the
-// 16-qubit chip and reports the passing fraction — the design-margin
-// extension of the Figure 13 fidelity target.
-func BenchmarkYield(b *testing.B) {
-	b.ReportAllocs()
-	c := chip.Square(4, 4)
-	cfg := yield.DefaultConfig()
-	cfg.Dice = 20
-	for i := 0; i < b.N; i++ {
-		res, err := yield.Run(c, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Yield, "yield")
-		b.ReportMetric(res.MedianError*1e4, "median-err-1e-4")
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package chip models a superconducting quantum chip: qubit placement,
-// tunable couplers, lattice topology and the equivalent-distance metric
-// that drives every grouping pass in the system.
+// tunable couplers, lattice topology and the multi-path topological
+// distance d_top that the equivalent-distance metric of every grouping
+// pass combines with physical distance.
 //
 // A Chip is a static description of hardware. Qubits carry an on-chip
 // position (mm), a fabrication base frequency (GHz) and a relaxation
@@ -11,6 +12,7 @@ package chip
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/graphx"
@@ -50,6 +52,13 @@ type Chip struct {
 	Couplers []Coupler
 
 	graph *graphx.Graph // qubit connectivity, built once
+
+	// topDist returns the d_top matrix, computing it on the first call.
+	// It is set once in New, so clones share one matrix. A func value
+	// rather than a pointer to a cache struct keeps the stage store's
+	// reflective size walk from reading the matrix while another clone
+	// is filling it.
+	topDist func() [][]float64
 }
 
 // New assembles a chip from qubits and coupler endpoint pairs. Coupler
@@ -72,6 +81,18 @@ func New(name, topology string, qubits []Qubit, couplerPairs [][2]int) (*Chip, e
 		c.Couplers = append(c.Couplers, Coupler{ID: i, A: a, B: b, Pos: mid})
 	}
 	c.graph = g
+	n := float64(len(qubits))
+	c.topDist = sync.OnceValue(func() [][]float64 {
+		m := g.AllMultiPathDistances()
+		for _, row := range m {
+			for j, d := range row {
+				if math.IsInf(d, 1) {
+					row[j] = n
+				}
+			}
+		}
+		return m
+	})
 	return c, nil
 }
 
@@ -82,11 +103,11 @@ func (c *Chip) NumQubits() int { return len(c.Qubits) }
 func (c *Chip) NumCouplers() int { return len(c.Couplers) }
 
 // Clone returns a copy of the chip with private qubit and coupler
-// slices. The connectivity graph is shared — it is immutable after
-// construction — but device fabrication (xmon.NewDevice) writes base
-// frequencies into the qubit slice, so callers fabricating several
-// devices from one prototype clone it first to keep each device's
-// frequency assignment isolated.
+// slices. The connectivity graph and its d_top matrix are shared — both
+// are immutable after construction — but device fabrication
+// (xmon.NewDevice) writes base frequencies into the qubit slice, so
+// callers fabricating several devices from one prototype clone it first
+// to keep each device's frequency assignment isolated.
 func (c *Chip) Clone() *Chip {
 	d := *c
 	d.Qubits = append([]Qubit(nil), c.Qubits...)
@@ -128,38 +149,20 @@ func (c *Chip) Bounds() geom.Rect {
 	return geom.RectFromPoints(pts)
 }
 
+// TopDistance returns the multi-path topological distance d_top(i,j) =
+// n*l between qubits i and j, where n is the number of shortest coupler
+// paths and l their length (graphx.MultiPathDistance), and 0 for i == j.
+// A pair with no coupler path between them gets the qubit count rather
+// than +Inf: disconnected qubits still share the substrate, so their
+// crosstalk models need a finite distance. This is the only place that
+// rule is written. The full matrix is computed on the first call and
+// shared by every clone of the chip.
+func (c *Chip) TopDistance(i, j int) float64 { return c.topDist()[i][j] }
+
 // EquivWeights are the fitted weights of the equivalent-distance metric
 // d_equiv = WPhy*d_phy + WTop*d_top.
 type EquivWeights struct {
 	WPhy, WTop float64
-}
-
-// DefaultEquivWeights is a reasonable prior before model fitting.
-var DefaultEquivWeights = EquivWeights{WPhy: 0.5, WTop: 0.5}
-
-// EquivalentDistances returns the full pairwise equivalent-distance
-// matrix for the given weights, combining physical distance with the
-// multi-path topological distance d_top = n*l (n shortest paths of
-// length l). Unreachable pairs get +Inf.
-func (c *Chip) EquivalentDistances(w EquivWeights) [][]float64 {
-	top := c.graph.AllMultiPathDistances()
-	n := len(c.Qubits)
-	m := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if math.IsInf(top[i][j], 1) {
-				row[j] = math.Inf(1)
-				continue
-			}
-			row[j] = w.WPhy*c.PhysicalDistance(i, j) + w.WTop*top[i][j]
-		}
-		m[i] = row
-	}
-	return m
 }
 
 // TwoQubitGate identifies a hardware two-qubit gate site: the qubit pair

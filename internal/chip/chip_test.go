@@ -2,6 +2,7 @@ package chip
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -174,39 +175,72 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestEquivalentDistances(t *testing.T) {
+func TestTopDistance(t *testing.T) {
 	c := Square(3, 3)
-	m := c.EquivalentDistances(EquivWeights{WPhy: 1, WTop: 0})
-	if math.Abs(m[0][1]-1) > 1e-9 {
-		t.Errorf("pure physical adjacent: got %v", m[0][1])
+	if got := c.TopDistance(0, 4); got != 4 { // diagonal: 2 paths x length 2
+		t.Errorf("TopDistance(0,4) = %v, want 4", got)
 	}
-	m = c.EquivalentDistances(EquivWeights{WPhy: 0, WTop: 1})
-	if m[0][4] != 4 { // diagonal: 2 paths x length 2
-		t.Errorf("pure topological diagonal: got %v, want 4", m[0][4])
-	}
-	// Symmetry and zero diagonal.
-	mixed := c.EquivalentDistances(DefaultEquivWeights)
-	for i := range mixed {
-		if mixed[i][i] != 0 {
-			t.Errorf("diagonal [%d][%d] = %v", i, i, mixed[i][i])
-		}
-		for j := range mixed {
-			if mixed[i][j] != mixed[j][i] {
-				t.Errorf("asymmetric at (%d,%d)", i, j)
+	for i := 0; i < c.NumQubits(); i++ {
+		for j := 0; j < c.NumQubits(); j++ {
+			if got, want := c.TopDistance(i, j), c.Graph().MultiPathDistance(i, j); got != want {
+				t.Errorf("TopDistance(%d,%d) = %v, want MultiPathDistance %v", i, j, got, want)
 			}
 		}
 	}
 }
 
-func TestEquivalentDistancesDisconnected(t *testing.T) {
-	qs := []Qubit{{ID: 0, Pos: geom.Pt(0, 0)}, {ID: 1, Pos: geom.Pt(1, 0)}}
-	c, err := New("disc", "square", qs, nil)
+func TestTopDistanceDisconnected(t *testing.T) {
+	qs := []Qubit{{ID: 0, Pos: geom.Pt(0, 0)}, {ID: 1, Pos: geom.Pt(1, 0)}, {ID: 2, Pos: geom.Pt(2, 0)}}
+	c, err := New("disc", "square", qs, [][2]int{{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := c.EquivalentDistances(DefaultEquivWeights)
-	if !math.IsInf(m[0][1], 1) {
-		t.Errorf("disconnected pair should be +Inf, got %v", m[0][1])
+	if got := c.TopDistance(0, 1); got != 1 {
+		t.Errorf("connected pair: TopDistance(0,1) = %v, want 1", got)
+	}
+	for _, p := range [][2]int{{0, 2}, {2, 0}, {1, 2}} {
+		if got := c.TopDistance(p[0], p[1]); got != 3 {
+			t.Errorf("disconnected pair: TopDistance(%d,%d) = %v, want the qubit count 3", p[0], p[1], got)
+		}
+	}
+}
+
+// Clones share the prototype's d_top matrix: once the prototype has
+// computed it, a clone's lookups allocate nothing and read the same
+// backing array.
+func TestTopDistanceSharedByClones(t *testing.T) {
+	proto := Square(4, 4)
+	proto.TopDistance(0, 1)
+	clone := proto.Clone()
+	if allocs := testing.AllocsPerRun(100, func() { clone.TopDistance(0, 15) }); allocs != 0 {
+		t.Errorf("clone TopDistance allocates %v per call after the prototype filled its matrix", allocs)
+	}
+	if &clone.topDist()[0][0] != &proto.topDist()[0][0] {
+		t.Error("clone built its own d_top matrix instead of sharing the prototype's")
+	}
+}
+
+// Clones of one prototype may ask for d_top first from several
+// goroutines at once (concurrent builds of one chip); they all get the
+// one matrix.
+func TestTopDistanceConcurrentFirstUse(t *testing.T) {
+	proto := Square(5, 5)
+	var wg sync.WaitGroup
+	got := make([]float64, 8)
+	for g := range got {
+		clone := proto.Clone()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = clone.TopDistance(0, 24)
+		}()
+	}
+	wg.Wait()
+	want := proto.Graph().MultiPathDistance(0, 24)
+	for g, v := range got {
+		if v != want {
+			t.Errorf("goroutine %d: TopDistance(0,24) = %v, want %v", g, v, want)
+		}
 	}
 }
 

@@ -103,21 +103,9 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 		}
 	}
 
-	top := c.Graph().AllMultiPathDistances()
-	y := make([]float64, len(samples))
-	phys := make([]float64, len(samples))
-	topo := make([]float64, len(samples))
-	for i, s := range samples {
-		if s.I < 0 || s.J < 0 || s.I >= c.NumQubits() || s.J >= c.NumQubits() {
-			return nil, fmt.Errorf("crosstalk: sample %d pair (%d,%d) out of range", i, s.I, s.J)
-		}
-		y[i] = s.Value
-		phys[i] = c.PhysicalDistance(s.I, s.J)
-		t := top[s.I][s.J]
-		if math.IsInf(t, 1) {
-			t = float64(c.NumQubits())
-		}
-		topo[i] = t
+	y, phys, topo, err := features(c, samples)
+	if err != nil {
+		return nil, err
 	}
 
 	// The grid search is the hot loop of characterization: every
@@ -175,6 +163,23 @@ func FitCtx(ctx context.Context, c *chip.Chip, samples []xmon.Sample, cfg FitCon
 	}
 	best.forest = forest
 	return best, nil
+}
+
+// features returns each sample's measured value and the two distances
+// the model weighs: d_phy and d_top between its qubits.
+func features(c *chip.Chip, samples []xmon.Sample) (y, phys, topo []float64, err error) {
+	y = make([]float64, len(samples))
+	phys = make([]float64, len(samples))
+	topo = make([]float64, len(samples))
+	for i, s := range samples {
+		if s.I < 0 || s.J < 0 || s.I >= c.NumQubits() || s.J >= c.NumQubits() {
+			return nil, nil, nil, fmt.Errorf("crosstalk: sample %d pair (%d,%d) out of range", i, s.I, s.J)
+		}
+		y[i] = s.Value
+		phys[i] = c.PhysicalDistance(s.I, s.J)
+		topo[i] = c.TopDistance(s.I, s.J)
+	}
+	return y, phys, topo, nil
 }
 
 // featureMatrix builds the single-feature design matrix
@@ -240,15 +245,13 @@ func (m *Model) PredictDistance(dEquiv float64) float64 {
 	return m.vals[sort.SearchFloat64s(m.cuts, dEquiv)]
 }
 
-// Predictor binds a model to a chip, caching the chip's distance
-// structure and the model's prediction for every ordered qubit pair, so
-// pairwise predictions are table lookups. Binding a model to a
-// different chip than it was trained on is exactly the Figure 12
-// transfer experiment.
+// Predictor binds a model to a chip, caching the model's prediction for
+// every ordered qubit pair, so pairwise predictions are table lookups.
+// Binding a model to a different chip than it was trained on is exactly
+// the Figure 12 transfer experiment.
 type Predictor struct {
 	Model *Model
 	chip  *chip.Chip
-	top   [][]float64
 	pairs []float64 // pairs[i*n+j]: the prediction for qubits i != j
 }
 
@@ -256,7 +259,7 @@ type Predictor struct {
 // the FDM allocation and TDM grouping ask for the same pairs many times
 // over, on every redesign that reuses this predictor.
 func (m *Model) On(c *chip.Chip) *Predictor {
-	p := &Predictor{Model: m, chip: c, top: c.Graph().AllMultiPathDistances()}
+	p := &Predictor{Model: m, chip: c}
 	if m.forest == nil {
 		return p // only a decoded model can lack a forest; it predicts nothing
 	}
@@ -277,11 +280,7 @@ func (p *Predictor) EquivDistance(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	t := p.top[i][j]
-	if math.IsInf(t, 1) {
-		t = float64(p.chip.NumQubits())
-	}
-	return p.Model.Weights.WPhy*p.chip.PhysicalDistance(i, j) + p.Model.Weights.WTop*t
+	return p.Model.Weights.WPhy*p.chip.PhysicalDistance(i, j) + p.Model.Weights.WTop*p.chip.TopDistance(i, j)
 }
 
 // Predict returns the predicted crosstalk between qubits i and j.

@@ -1,10 +1,12 @@
 package crosstalk
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/geom"
 	"repro/internal/mlfit"
 	"repro/internal/xmon"
 )
@@ -102,6 +104,53 @@ func TestPredictorDiagonalZero(t *testing.T) {
 		}
 		if p.EquivDistance(q, q) != 0 {
 			t.Errorf("self equivalent distance not zero for q%d", q)
+		}
+	}
+}
+
+// On a chip with two coupler components, the device's latent coupling,
+// the predictor's d_equiv and the fit's d_top feature all see a
+// cross-component pair at the chip's one d_top value: the qubit count.
+func TestDisconnectedPairsShareTopDistance(t *testing.T) {
+	var qs []chip.Qubit
+	for i := 0; i < 6; i++ {
+		qs = append(qs, chip.Qubit{ID: i, Pos: geom.Pt(float64(i), 0), T1: chip.DefaultT1})
+	}
+	c, err := chip.New("two-chains", "low-density", qs, [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const i, j = 1, 4
+	top := c.TopDistance(i, j)
+	if top != float64(c.NumQubits()) {
+		t.Fatalf("TopDistance(%d,%d) = %v, want the qubit count %d", i, j, top, c.NumQubits())
+	}
+	phys := c.PhysicalDistance(i, j)
+
+	params := xmon.DefaultParams()
+	params.DisorderSigma = 0 // unit disorder: Coupling is the bare decay law
+	dev := xmon.NewDevice(c, params, rand.New(rand.NewSource(1)))
+	want := params.AmplitudeXY * math.Exp(-phys/params.PhysDecay) * math.Pow(top, -params.TopDecay)
+	if got := dev.Coupling(xmon.XY, i, j); got != want {
+		t.Errorf("Coupling(XY,%d,%d) = %v, want %v", i, j, got, want)
+	}
+
+	w := chip.EquivWeights{WPhy: 0.5, WTop: 0.25}
+	if got, want := (&Model{Weights: w}).On(c).EquivDistance(i, j), w.WPhy*phys+w.WTop*top; got != want {
+		t.Errorf("EquivDistance(%d,%d) = %v, want %v", i, j, got, want)
+	}
+
+	samples := dev.Measure(xmon.XY, 0, rand.New(rand.NewSource(2)))
+	_, _, topo, err := features(c, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, s := range samples {
+		if topo[k] != c.TopDistance(s.I, s.J) {
+			t.Errorf("fit feature d_top(%d,%d) = %v, want %v", s.I, s.J, topo[k], c.TopDistance(s.I, s.J))
+		}
+		if s.I == i && s.J == j && topo[k] != top {
+			t.Errorf("fit feature d_top(%d,%d) = %v, want the qubit count %v", i, j, topo[k], top)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/chip"
 	"repro/internal/obs"
@@ -317,9 +316,7 @@ func (d *Designer) Report() stage.Report { return d.store.Report() }
 // cache, so per-point builds stop re-fitting unchanged
 // characterization.
 type DesignCache struct {
-	mu        sync.Mutex
-	store     *stage.Store
-	designers map[stage.Key]*Designer
+	store *stage.Store
 }
 
 // NewDesignCache returns an empty cache over an unbounded store.
@@ -332,10 +329,7 @@ func NewDesignCache() *DesignCache {
 // with stage.NewStoreWith and a byte budget, and every designer handed
 // out by the cache shares the bounded, evicting artifact set.
 func NewDesignCacheWithStore(store *stage.Store) *DesignCache {
-	return &DesignCache{
-		store:     store,
-		designers: make(map[stage.Key]*Designer),
-	}
+	return &DesignCache{store: store}
 }
 
 // OpenDesignCache returns a cache whose store persists every pipeline
@@ -355,21 +349,13 @@ func OpenDesignCache(dir string, memCfg stage.Config, diskBytes int64) (*DesignC
 	return NewDesignCacheWithStore(stage.NewStoreWith(memCfg)), nil
 }
 
-// Designer returns the cached Designer for a chip, creating it on first
-// use. Designers are keyed by chip fingerprint, not pointer, so
+// Designer returns a Designer for a chip over the cache's store. Every
+// artifact key chains the chip fingerprint, not the pointer, so
 // structurally identical chips (a server parsing the same request twice
-// into distinct *Chip values) share one Designer — and therefore one
-// single-flight per artifact — rather than just one store.
+// into distinct *Chip values) share each artifact and its single-flight
+// whichever Designer asks.
 func (dc *DesignCache) Designer(c *chip.Chip) *Designer {
-	fp := chipFingerprint(c)
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	d, ok := dc.designers[fp]
-	if !ok {
-		d = &Designer{chip: c, chipFP: fp, store: dc.store}
-		dc.designers[fp] = d
-	}
-	return d
+	return newDesignerWithStore(c, dc.store)
 }
 
 // Report snapshots the shared store's per-stage instrumentation.

@@ -10,8 +10,7 @@ import (
 // parameters and the latent disorder matrices. The disorder is the
 // only state that cannot be recomputed — it was drawn from the
 // fabrication RNG — so it must persist for a recalled device to
-// measure identically; the topological-distance cache is a pure
-// function of the chip and is rebuilt on decode instead.
+// measure identically.
 func (d *Device) AppendBinary(e *binpack.Enc) {
 	d.Chip.AppendBinary(e)
 	p := d.Params
@@ -28,8 +27,8 @@ func (d *Device) AppendBinary(e *binpack.Enc) {
 
 // DecodeBinary rebuilds a device encoded by AppendBinary. The decoded
 // device measures bit-identically to the original: the chip, disorder
-// and parameters are value-faithful and the distance cache is
-// recomputed deterministically.
+// and parameters are value-faithful, and the chip's d_top is a pure
+// function of its couplers.
 func DecodeBinary(dec *binpack.Dec) (*Device, error) {
 	c, err := chip.DecodeBinary(dec)
 	if err != nil {
@@ -49,6 +48,5 @@ func DecodeBinary(dec *binpack.Dec) (*Device, error) {
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	d.topDist = c.Graph().AllMultiPathDistances()
 	return d, nil
 }

@@ -92,8 +92,6 @@ type Device struct {
 	Chip   *chip.Chip
 	Params Params
 
-	// topDist caches the multi-path topological distance matrix.
-	topDist [][]float64
 	// disorder caches the per-pair lognormal factors so that repeated
 	// queries are consistent, like re-measuring the same chip.
 	disorderXY [][]float64
@@ -108,7 +106,6 @@ func NewDevice(c *chip.Chip, p Params, rng *rand.Rand) *Device {
 	d := &Device{Chip: c, Params: p}
 	assignFrequencies(c, p, rng)
 	n := c.NumQubits()
-	d.topDist = c.Graph().AllMultiPathDistances()
 	d.disorderXY = lognormalMatrix(n, p.DisorderSigma, rng)
 	d.disorderZZ = lognormalMatrix(n, p.DisorderSigma, rng)
 	return d
@@ -168,12 +165,7 @@ func (d *Device) Coupling(kind CrosstalkKind, i, j int) float64 {
 	}
 	p := d.Params
 	phys := d.Chip.PhysicalDistance(i, j)
-	top := d.topDist[i][j]
-	if math.IsInf(top, 1) {
-		// Disconnected qubits still share the substrate; only the
-		// physical-decay term survives.
-		top = float64(d.Chip.NumQubits())
-	}
+	top := d.Chip.TopDistance(i, j)
 	decay := math.Exp(-phys/p.PhysDecay) * math.Pow(top, -p.TopDecay)
 	switch kind {
 	case XY:

@@ -179,14 +179,7 @@ func Design(c *Chip, opts Options) (*DesignResult, error) {
 // with a deadline to bound the design time; the pipeline returns the
 // context's error promptly once it fires.
 func DesignCtx(ctx context.Context, c *Chip, opts Options) (*DesignResult, error) {
-	p, err := experiments.BuildPipelineCtx(ctx, c, opts)
-	if err != nil {
-		return nil, fmt.Errorf("youtiao: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("youtiao: %w", err)
-	}
-	return fromPipeline(p)
+	return fromPipeline(experiments.BuildPipelineCtx(ctx, c, opts))
 }
 
 // DesignDevice runs the pipeline on an externally fabricated device
@@ -199,11 +192,7 @@ func DesignDevice(dev *xmon.Device, opts Options) (*DesignResult, error) {
 // mirroring DesignCtx: pass a context with a deadline to bound the
 // design time.
 func DesignDeviceCtx(ctx context.Context, dev *xmon.Device, opts Options) (*DesignResult, error) {
-	p, err := experiments.BuildPipelineOnDeviceCtx(ctx, dev, opts)
-	if err != nil {
-		return nil, fmt.Errorf("youtiao: %w", err)
-	}
-	return fromPipeline(p)
+	return fromPipeline(experiments.BuildPipelineOnDeviceCtx(ctx, dev, opts))
 }
 
 // ObsRegistry collects metrics, latency histograms and design spans.
@@ -270,14 +259,7 @@ func (d *Designer) Redesign(opts Options) (*DesignResult, error) {
 
 // RedesignCtx is Redesign with cooperative cancellation.
 func (d *Designer) RedesignCtx(ctx context.Context, opts Options) (*DesignResult, error) {
-	p, err := d.d.RedesignCtx(ctx, opts)
-	if err != nil {
-		return nil, fmt.Errorf("youtiao: %w", err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("youtiao: %w", err)
-	}
-	return fromPipeline(p)
+	return fromPipeline(d.d.RedesignCtx(ctx, opts))
 }
 
 // StageReport snapshots the designer's per-stage instrumentation since
@@ -381,10 +363,9 @@ func OpenSharedCache(cfg CacheConfig) (*SharedCache, error) {
 	return &SharedCache{dc: dc}, nil
 }
 
-// Designer returns the cache's Designer for a chip, creating it on
-// first use. Chips are keyed structurally, so two calls with distinct
-// but identical Chip values return the same Designer and share every
-// artifact.
+// Designer returns a Designer for a chip over the cache's store.
+// Artifacts are keyed by the chip's structure, so Designers of distinct
+// but identical Chip values share every artifact.
 func (c *SharedCache) Designer(ch *Chip) *Designer {
 	return &Designer{d: c.dc.Designer(ch)}
 }
@@ -414,7 +395,15 @@ func (c *SharedCache) Stats() CacheStats {
 // shared store — the chaos-injection seam of the serve tests.
 func (c *SharedCache) WrapExec(w StageExecWrapper) { c.dc.Store().Wrap(w) }
 
-func fromPipeline(p *experiments.Pipeline) (*DesignResult, error) {
+// fromPipeline is the one tail of every design entry point: it passes
+// on a build error, validates the built pipeline and converts it.
+func fromPipeline(p *experiments.Pipeline, err error) (*DesignResult, error) {
+	if err == nil {
+		err = p.Validate()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("youtiao: %w", err)
+	}
 	res := &DesignResult{Chip: p.Chip, pipeline: p}
 	res.CrosstalkWeights.WPhy = p.ModelXY.Weights.WPhy
 	res.CrosstalkWeights.WTop = p.ModelXY.Weights.WTop

@@ -150,6 +150,20 @@ func TestDesignDevice(t *testing.T) {
 	}
 }
 
+// DesignDevice validates its pipeline like Design does; a faulty
+// device's design must pass with its dead qubits excluded.
+func TestDesignDeviceWithFaultsValidates(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dev := xmon.NewDevice(chip.Square(6, 6), xmon.DefaultParams(), rng)
+	d, err := DesignDevice(dev, Options{Seed: 5, Faults: UniformFaults(0.05), PartitionTargetSize: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Faults == nil || len(d.Faults.DeadQubits)+len(d.Faults.BrokenCouplers) == 0 {
+		t.Fatalf("fault spec injected no faults: %+v", d.Faults)
+	}
+}
+
 func TestDesignDeterministic(t *testing.T) {
 	a := designSquare(t, 4, 4)
 	b := designSquare(t, 4, 4)
